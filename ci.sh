@@ -318,6 +318,17 @@ repo_root="$PWD"
     --class-out classes.json > gate.txt
 )
 grep -q "soundness gate: PASS" "$tmpdir/gate.txt"
+# The gate's tables and verdicts must not depend on the worker count.
+for t in 1 2; do
+  (
+    cd "$tmpdir"
+    cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+      -p oslay-bench --bin analyze -- \
+      --scale tiny --layout all --search-budget 2000 --gate \
+      --threads "$t" > "gate-t$t.txt"
+  )
+done
+diff "$tmpdir/gate-t1.txt" "$tmpdir/gate-t2.txt"
 # A block swap into the most contended set must withdraw at least one
 # always-hit guarantee — otherwise the analysis is not actually looking
 # at the layout.

@@ -3,24 +3,25 @@
 //! The static classifier (`oslay_verify::absint`) promises, per layout:
 //! always-hit points never miss, persistent lines miss at most once per
 //! run, always-miss points miss on every execution. This module replays
-//! every workload against every layout — word for word, through the
-//! attribution engine's cache — and checks each promise against the
-//! *measured* per-point miss counts. One surviving violation anywhere
+//! every workload against every layout and checks each promise against
+//! the *measured* per-point miss counts. One surviving violation anywhere
 //! fails the gate; the `analyze --gate` binary turns that into exit 1
 //! and ci.sh runs it on every push.
 //!
-//! The replay mirrors `oslay::sim::Replayer` exactly (same fetch-word
-//! enumeration, same cache, same trace stream), but records misses per
+//! The replay is the production one (`oslay::sim::Replayer` under
+//! `SimConfig::fast`: the buffered trace, the same fetch words, a plain
+//! [`Cache`] fed one line run at a time), but it records misses per
 //! *(block, line-slot)* access point — the unit the classifier speaks —
-//! instead of only per block.
+//! instead of only per block. A point is one line run, so its miss is
+//! the run's one 0/1 `access_words` outcome; see
+//! [`measure_point_misses`] for why that equals a word-by-word replay.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-use oslay::cache::{AddressMap, AttributedCache, Cache, CacheConfig, InstructionCache};
-use oslay::{OsLayout, Study};
+use oslay::cache::{line_runs, Cache, CacheConfig, InstructionCache};
+use oslay::{OsLayout, Study, WorkloadCase};
 use oslay_model::{Domain, WORD_BYTES};
-use oslay_trace::{TraceEvent, TraceSink};
+use oslay_trace::TraceEvent;
 use oslay_verify::{
     block_line_addrs, classify_layout, AbsintParams, Classification, LayoutView, LineClass,
 };
@@ -110,6 +111,7 @@ pub fn classify_study_layout(
 ) -> Classification {
     let foreign = absint_foreign_lines(study, &config);
     let params = AbsintParams::new(config).with_foreign_lines(foreign);
+    let _g = oslay_observe::flight::span("absint.classify");
     classify_layout(
         &study.kernel().program,
         study.averaged_os_profile(),
@@ -118,85 +120,117 @@ pub fn classify_study_layout(
     )
 }
 
-/// Precomputed word-level replay geometry of one layout side: per block,
-/// its base address and each fetch word's line-slot index.
-struct LayoutWords {
+/// Line-run replay geometry of one OS layout, flattened (CSR): per
+/// block its base address, and per *(block, line slot)* access point the
+/// number of fetch words that fall in that slot's cache line.
+///
+/// Block `b`'s points are `slot_start[b]..slot_start[b + 1]`, in slot
+/// order — the same flat index [`PointMisses::misses`] uses.
+#[derive(Clone, Debug)]
+pub struct LinePoints {
     base: Vec<u64>,
-    word_slot: Vec<Vec<u16>>,
+    slot_start: Vec<u32>,
+    slot_words: Vec<u16>,
 }
 
-impl LayoutWords {
-    fn new(view: &LayoutView, config: &CacheConfig) -> Self {
+impl LinePoints {
+    /// Splits every block of `view` into the line runs its fetch words
+    /// form under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout has more than `u32::MAX` access points.
+    #[must_use]
+    pub fn new(view: &LayoutView, config: &CacheConfig) -> Self {
         let n = view.num_blocks();
-        let mut base = Vec::with_capacity(n);
-        let mut word_slot = Vec::with_capacity(n);
+        let mut slot_start = Vec::with_capacity(n + 1);
+        let mut slot_words = Vec::new();
+        slot_start.push(0);
         for b in 0..n {
-            let addr = view.addr[b];
             let words = oslay_model::fetch_words(view.size[b]);
-            let mut slots = Vec::with_capacity(words as usize);
-            let mut slot: u16 = 0;
-            let mut last_line = None;
-            for w in 0..words {
-                let line = config.line_addr(addr + u64::from(w) * u64::from(WORD_BYTES));
-                match last_line {
-                    None => last_line = Some(line),
-                    Some(prev) if prev != line => {
-                        slot += 1;
-                        last_line = Some(line);
-                    }
-                    Some(_) => {}
-                }
-                slots.push(slot);
+            for (_, run) in line_runs(view.addr[b], words, config.line()) {
+                slot_words.push(u16::try_from(run).expect("a cache line holds < 2^16 words"));
             }
-            base.push(addr);
-            word_slot.push(slots);
+            slot_start.push(u32::try_from(slot_words.len()).expect("< 2^32 access points"));
         }
-        Self { base, word_slot }
+        Self {
+            base: view.addr.clone(),
+            slot_start,
+            slot_words,
+        }
     }
 
-    fn num_slots(&self, block: usize) -> usize {
-        self.word_slot[block].last().map_or(0, |&s| s as usize + 1)
+    /// Flat index of `block`'s line slot `slot`.
+    fn point(&self, block: usize, slot: usize) -> usize {
+        self.slot_start[block] as usize + slot
+    }
+
+    fn slots(&self, block: usize) -> std::ops::Range<usize> {
+        self.slot_start[block] as usize..self.slot_start[block + 1] as usize
     }
 }
 
-/// The per-point miss recorder: a [`TraceSink`] replaying the stream
-/// through the attribution engine's cache, mirroring the production
-/// replayer word for word.
-struct MissRecorder<'a> {
-    cache: AttributedCache,
-    os: &'a LayoutWords,
-    app: Option<&'a LayoutWords>,
-    point_miss: Vec<Vec<u64>>,
-    exec: Vec<u64>,
+/// Measured misses of one workload replayed against one OS layout.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PointMisses {
+    /// Misses per access point, in the layout's [`LinePoints`] order:
+    /// block by block, each block's line slots in address order.
+    pub misses: Vec<u64>,
+    /// Executions per OS block.
+    pub exec: Vec<u64>,
 }
 
-impl TraceSink for MissRecorder<'_> {
-    fn event(&mut self, event: TraceEvent) {
+/// Replays `case`'s buffered trace against the OS layout `os` (app code
+/// under its Base layout) through a plain [`Cache`], recording misses per
+/// *(block, line slot)* access point.
+///
+/// Each slot is one `access_words` call, whose 0/1 return is that
+/// point's miss. This is exactly the word-by-word outcome: after a line's
+/// first fetched word the line is resident and most-recently-used, so
+/// the slot's other words are hits that change no replacement state. The
+/// stream, fetch enumeration and cache are the production replayer's
+/// (`oslay::sim::Replayer`, `SimConfig::fast`), so the totals equal a
+/// plain replay's.
+///
+/// # Panics
+///
+/// Panics if the trace runs an app block but the case has no app.
+#[must_use]
+pub fn measure_point_misses(
+    study: &Study,
+    case: &WorkloadCase,
+    os: &LinePoints,
+    config: CacheConfig,
+) -> PointMisses {
+    let app = study.app_base_layout(case);
+    let word = u64::from(WORD_BYTES);
+    let mut cache = Cache::new(config);
+    let mut misses = vec![0u64; os.slot_words.len()];
+    let mut exec = vec![0u64; os.base.len()];
+    for &event in case.trace.events() {
         let TraceEvent::Block { id, domain } = event else {
-            return;
+            continue;
         };
-        let b = id.index();
         match domain {
             Domain::Os => {
-                self.exec[b] += 1;
-                let base = self.os.base[b];
-                for (w, &slot) in self.os.word_slot[b].iter().enumerate() {
-                    let addr = base + w as u64 * u64::from(WORD_BYTES);
-                    if self.cache.access(addr, Domain::Os).is_miss() {
-                        self.point_miss[b][slot as usize] += 1;
-                    }
+                let b = id.index();
+                exec[b] += 1;
+                let mut addr = os.base[b];
+                for p in os.slots(b) {
+                    let words = u32::from(os.slot_words[p]);
+                    misses[p] += cache.access_words(addr, words, Domain::Os);
+                    addr += u64::from(words) * word;
                 }
             }
             Domain::App => {
-                let app = self.app.expect("app block in a workload without an app");
-                let base = app.base[b];
-                for w in 0..app.word_slot[b].len() {
-                    let addr = base + w as u64 * u64::from(WORD_BYTES);
-                    let _ = self.cache.access(addr, Domain::App);
-                }
+                let app = app
+                    .as_ref()
+                    .expect("app block in a workload without an app");
+                cache.access_words(app.addr(id), app.fetch_words(id), Domain::App);
             }
         }
     }
+    PointMisses { misses, exec }
 }
 
 /// Replays every workload against every layout and checks the static
@@ -212,28 +246,13 @@ pub fn run_absint_gate(
     config: CacheConfig,
     threads: usize,
 ) -> AbsintGateOutcome {
-    let program = &study.kernel().program;
-    let classifications: Vec<(String, Classification, Arc<LayoutView>)> = layouts
+    let classifications: Vec<(String, Classification, LinePoints)> = layouts
         .iter()
         .map(|(name, os)| {
             let mut view = LayoutView::from_layout(&os.layout);
             view.name.clone_from(name);
             let c = classify_study_layout(study, &view, config);
-            (name.clone(), c, Arc::new(view))
-        })
-        .collect();
-
-    let os_words: Vec<Arc<LayoutWords>> = classifications
-        .iter()
-        .map(|(_, _, view)| Arc::new(LayoutWords::new(view, &config)))
-        .collect();
-    let app_views: Vec<Option<Arc<LayoutWords>>> = study
-        .cases()
-        .iter()
-        .map(|case| {
-            study
-                .app_base_layout(case)
-                .map(|l| Arc::new(LayoutWords::new(&LayoutView::from_layout(&l), &config)))
+            (name.clone(), c, LinePoints::new(&view, &config))
         })
         .collect();
 
@@ -241,31 +260,14 @@ pub fn run_absint_gate(
         .flat_map(|l| (0..study.cases().len()).map(move |c| (l, c)))
         .collect();
     let rows = oslay::exec::parallel_map(threads, jobs, |_, (l, c)| {
+        let _g = oslay_observe::flight::span_with_args(
+            "absint.gate.replay",
+            &[("layout", l as f64), ("workload", c as f64)],
+        );
         let case = &study.cases()[c];
-        let (name, classification, _) = &classifications[l];
-        let os = &layouts[l].1;
-        let mut spans =
-            oslay_layout::layout_spans(program, &os.layout, Domain::Os, os.classes.as_deref());
-        if let (Some(app_layout), Some(app_program)) = (study.app_base_layout(case), &case.app) {
-            spans.extend(oslay_layout::layout_spans(
-                app_program,
-                &app_layout,
-                Domain::App,
-                None,
-            ));
-        }
-        let words = &os_words[l];
-        let mut recorder = MissRecorder {
-            cache: AttributedCache::new(Cache::new(config), Arc::new(AddressMap::build(spans))),
-            os: words,
-            app: app_views[c].as_deref(),
-            point_miss: (0..words.base.len())
-                .map(|b| vec![0u64; words.num_slots(b)])
-                .collect(),
-            exec: vec![0u64; words.base.len()],
-        };
-        study.stream_case(case, &mut recorder);
-        check_row(case.name(), name, classification, &recorder)
+        let (name, classification, points) = &classifications[l];
+        let measured = measure_point_misses(study, case, points, config);
+        check_row(case.name(), name, classification, points, &measured)
     });
 
     AbsintGateOutcome {
@@ -282,7 +284,8 @@ fn check_row(
     workload: &str,
     layout: &str,
     classification: &Classification,
-    recorder: &MissRecorder<'_>,
+    points: &LinePoints,
+    measured: &PointMisses,
 ) -> GateRow {
     let mut row = GateRow {
         workload: workload.to_owned(),
@@ -299,7 +302,7 @@ fn check_row(
     // is global, whichever block touches it).
     let mut line_miss: HashMap<u64, u64> = HashMap::new();
     for p in &classification.points {
-        let misses = recorder.point_miss[p.block as usize][p.slot as usize];
+        let misses = measured.misses[points.point(p.block as usize, p.slot as usize)];
         *line_miss.entry(p.line_addr).or_insert(0) += misses;
     }
     let mut persistent_seen: HashSet<u64> = HashSet::new();
@@ -307,8 +310,8 @@ fn check_row(
     let mut total_exec = 0u64;
     for p in &classification.points {
         let block = p.block as usize;
-        let misses = recorder.point_miss[block][p.slot as usize];
-        let exec = recorder.exec[block];
+        let misses = measured.misses[points.point(block, p.slot as usize)];
+        let exec = measured.exec[block];
         total_exec += exec;
         if p.class != LineClass::Unclassified {
             covered_exec += exec;

@@ -25,14 +25,17 @@
 //!
 //! Exit-code contract: `0` when the analysis is internally consistent
 //! (and, with `--gate`, every replay check passes; with `--mutate`, the
-//! mutation degrades at least one guarantee), `1` otherwise.
+//! mutation degrades at least one guarantee), `1` otherwise, and `2` for
+//! a malformed command line (unknown flag, missing or bad value).
 
 use std::collections::{HashMap, VecDeque};
 use std::process::ExitCode;
 
 use oslay::{OsLayout, OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_bench::absint_gate::{classify_study_layout, run_absint_gate, AbsintGateOutcome};
-use oslay_bench::{banner, parse_run_args, run_layout_search, Reporter};
+use oslay_bench::{
+    banner, exit_usage, flag_int, flag_value, run_layout_search, try_parse_run_args, Reporter,
+};
 use oslay_cache::CacheConfig;
 use oslay_verify::{Classification, LayoutView, LineClass};
 
@@ -50,7 +53,7 @@ struct AnalyzeArgs {
 
 const ALL_LAYOUTS: [&str; 5] = ["base", "ch", "opts", "optl", "search"];
 
-fn parse_args() -> AnalyzeArgs {
+fn parse_args() -> Result<AnalyzeArgs, String> {
     let mut layouts: Vec<String> = Vec::new();
     let mut gate = false;
     let mut search_budget = 8_000u64;
@@ -58,52 +61,42 @@ fn parse_args() -> AnalyzeArgs {
     let mut check = None;
     let mut mutate = None;
     let argv: VecDeque<String> = std::env::args().skip(1).collect();
-    let args = parse_run_args(argv, StudyConfig::small(), |arg, rest| match arg {
-        "--layout" => {
-            let v = rest.pop_front().expect("--layout needs a value");
-            if v == "all" {
-                layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
-            } else {
-                assert!(
-                    ALL_LAYOUTS.contains(&v.as_str()),
-                    "unknown layout {v:?} (base|ch|opts|optl|search|all)"
-                );
-                layouts.push(v);
+    let args = try_parse_run_args(argv, StudyConfig::small(), |arg, rest| {
+        match arg {
+            "--layout" => {
+                let v = flag_value(arg, rest)?;
+                if v == "all" {
+                    layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
+                } else if ALL_LAYOUTS.contains(&v.as_str()) {
+                    layouts.push(v);
+                } else {
+                    return Err(format!(
+                        "unknown layout {v:?} (base|ch|opts|optl|search|all)"
+                    ));
+                }
             }
-            true
+            "--gate" => gate = true,
+            "--search-budget" => search_budget = flag_int(arg, rest)?,
+            "--class-out" => class_out = Some(flag_value(arg, rest)?.into()),
+            "--check" => check = Some(flag_value(arg, rest)?.into()),
+            "--mutate" => {
+                let v = flag_value(arg, rest)?;
+                if v != "block-swap" {
+                    return Err(format!(
+                        "unknown mutation {v:?} (only `--mutate block-swap` is supported)"
+                    ));
+                }
+                mutate = Some(v);
+            }
+            _ => return Ok(false),
         }
-        "--gate" => {
-            gate = true;
-            true
-        }
-        "--search-budget" => {
-            let v = rest.pop_front().expect("--search-budget needs a value");
-            search_budget = v.parse().expect("--search-budget must be an integer");
-            true
-        }
-        "--class-out" => {
-            let v = rest.pop_front().expect("--class-out needs a path");
-            class_out = Some(v.into());
-            true
-        }
-        "--check" => {
-            let v = rest.pop_front().expect("--check needs a path");
-            check = Some(v.into());
-            true
-        }
-        "--mutate" => {
-            let v = rest.pop_front().expect("--mutate needs a value");
-            assert_eq!(v, "block-swap", "only `--mutate block-swap` is supported");
-            mutate = Some(v);
-            true
-        }
-        _ => false,
-    });
+        Ok(true)
+    })?;
     oslay_bench::apply_run_args(&args);
     if layouts.is_empty() {
         layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
     }
-    AnalyzeArgs {
+    Ok(AnalyzeArgs {
         config: args.config,
         threads: args.threads,
         layouts,
@@ -112,7 +105,7 @@ fn parse_args() -> AnalyzeArgs {
         class_out,
         check,
         mutate,
-    }
+    })
 }
 
 /// Builds the requested layouts in a stable display order.
@@ -392,7 +385,7 @@ fn run_mutation(study: &Study, cfg: CacheConfig) -> u64 {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_usage(&e));
 
     // `--check` is standalone: validate the file and exit.
     if let Some(path) = &args.check {

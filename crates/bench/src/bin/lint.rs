@@ -3,7 +3,7 @@
 //! Builds the study's layouts and runs the `oslay-verify` invariant
 //! checker over each one, with no simulation. Exit-code contract: `0`
 //! when every report is clean (warnings allowed unless `--deny warnings`),
-//! `1` when any diagnostic fails.
+//! `1` when any diagnostic fails, `2` for a malformed command line.
 //!
 //! ```text
 //! lint [--scale tiny|small|paper] [--blocks N] [--seed N]
@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 use std::process::ExitCode;
 
 use oslay::{Study, StudyConfig};
-use oslay_bench::parse_run_args;
+use oslay_bench::{exit_usage, flag_int, flag_value, try_parse_run_args};
 use oslay_cache::CacheConfig;
 use oslay_layout::{optimize_os, BlockClass, OptLayout, OptParams};
 use oslay_model::{Domain, Program, RoutineId};
@@ -65,59 +65,48 @@ fn parse_args() -> LintArgs {
     let mut absint = false;
     let mut top = 10usize;
     let argv: VecDeque<String> = std::env::args().skip(1).collect();
-    let args = parse_run_args(argv, StudyConfig::small(), |arg, rest| match arg {
-        "--layout" => {
-            let v = rest.pop_front().expect("--layout needs a value");
-            if v == "all" {
-                layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
-            } else {
-                assert!(
-                    ALL_LAYOUTS.contains(&v.as_str()),
-                    "unknown layout {v:?} (base|ch|opts|optl|opta|call|all)"
-                );
-                layouts.push(v);
+    let args = try_parse_run_args(argv, StudyConfig::small(), |arg, rest| {
+        match arg {
+            "--layout" => {
+                let v = flag_value(arg, rest)?;
+                if v == "all" {
+                    layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
+                } else if ALL_LAYOUTS.contains(&v.as_str()) {
+                    layouts.push(v);
+                } else {
+                    return Err(format!(
+                        "unknown layout {v:?} (base|ch|opts|optl|opta|call|all)"
+                    ));
+                }
             }
-            true
+            "--layout-file" => layout_file = Some(flag_value(arg, rest)?.into()),
+            "--json" => json = true,
+            "--deny" => {
+                let v = flag_value(arg, rest)?;
+                if v != "warnings" {
+                    return Err(format!(
+                        "unknown --deny {v:?} (only `--deny warnings` is supported)"
+                    ));
+                }
+                deny_warnings = true;
+            }
+            "--mutate" => {
+                let v = flag_value(arg, rest)?;
+                if !["block-swap", "loop-shift", "scf-overlap"].contains(&v.as_str()) {
+                    return Err(format!(
+                        "unknown mutation {v:?} (block-swap|loop-shift|scf-overlap)"
+                    ));
+                }
+                mutate = Some(v);
+            }
+            "--predict" => predict = true,
+            "--absint" => absint = true,
+            "--top" => top = flag_int(arg, rest)?,
+            _ => return Ok(false),
         }
-        "--layout-file" => {
-            let v = rest.pop_front().expect("--layout-file needs a path");
-            layout_file = Some(v.into());
-            true
-        }
-        "--json" => {
-            json = true;
-            true
-        }
-        "--deny" => {
-            let v = rest.pop_front().expect("--deny needs a value");
-            assert_eq!(v, "warnings", "only `--deny warnings` is supported");
-            deny_warnings = true;
-            true
-        }
-        "--mutate" => {
-            let v = rest.pop_front().expect("--mutate needs a value");
-            assert!(
-                ["block-swap", "loop-shift", "scf-overlap"].contains(&v.as_str()),
-                "unknown mutation {v:?} (block-swap|loop-shift|scf-overlap)"
-            );
-            mutate = Some(v);
-            true
-        }
-        "--predict" => {
-            predict = true;
-            true
-        }
-        "--absint" => {
-            absint = true;
-            true
-        }
-        "--top" => {
-            let v = rest.pop_front().expect("--top needs a value");
-            top = v.parse().expect("--top must be an integer");
-            true
-        }
-        _ => false,
-    });
+        Ok(true)
+    })
+    .unwrap_or_else(|e| exit_usage(&e));
     oslay_bench::apply_run_args(&args);
     // An explicit --layout-file lints only that file unless named
     // layouts were also requested.

@@ -27,7 +27,8 @@ use oslay::cache::{CacheConfig, MissKind};
 use oslay::{SimConfig, SimResult, Study, StudyConfig};
 use oslay_bench::archive::{record_archive, run_archived_figure12_matrix};
 use oslay_bench::{
-    apply_run_args, banner, figure12_ladder, parse_run_args, run_figure12_matrix, RunArgs,
+    apply_run_args, banner, exit_usage, figure12_ladder, flag_value, run_figure12_matrix,
+    try_parse_run_args, RunArgs,
 };
 use oslay_observe::{MetricRegistry, RunReport};
 use oslay_tracestore::{CountingSink, StoreError, StoreSummary, StreamTotals, TraceReader};
@@ -47,29 +48,28 @@ fn main() -> ExitCode {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut live = false;
     let mut out: Option<PathBuf> = None;
-    let args = parse_run_args(argv, StudyConfig::paper(), |arg, rest| match arg {
-        "--dir" => {
-            dir = PathBuf::from(rest.pop_front().expect("--dir needs a value"));
-            true
-        }
-        "--file" => {
-            files.push(PathBuf::from(
-                rest.pop_front().expect("--file needs a value"),
-            ));
-            true
-        }
-        "--live" => {
-            live = true;
-            true
-        }
-        "--out" => {
-            out = Some(PathBuf::from(
-                rest.pop_front().expect("--out needs a value"),
-            ));
-            true
-        }
-        _ => false,
-    });
+    let args = try_parse_run_args(argv, StudyConfig::paper(), |arg, rest| {
+        Ok(match arg {
+            "--dir" => {
+                dir = PathBuf::from(flag_value(arg, rest)?);
+                true
+            }
+            "--file" => {
+                files.push(PathBuf::from(flag_value(arg, rest)?));
+                true
+            }
+            "--live" => {
+                live = true;
+                true
+            }
+            "--out" => {
+                out = Some(PathBuf::from(flag_value(arg, rest)?));
+                true
+            }
+            _ => false,
+        })
+    })
+    .unwrap_or_else(|e| exit_usage(&e));
 
     apply_run_args(&args);
 

@@ -63,7 +63,7 @@ pub fn flush_trace() {
 
 /// The shared usage text for every experiment binary: the one place the
 /// common flags are documented, so `--help` and the unknown-argument
-/// error cannot drift out of sync with [`parse_run_args`].
+/// error cannot drift out of sync with [`try_parse_run_args`].
 #[must_use]
 pub fn usage_text() -> String {
     "common experiment flags:\n\
@@ -118,24 +118,35 @@ pub fn run_args() -> RunArgs {
 ///
 /// `extra` receives each token the common parser does not recognize plus
 /// the remaining argument queue (pop values off the front); returning
-/// `false` rejects the token with the standard panic. This is the one
-/// place command lines are parsed — `bench_sim`, `diag`, and the `trace`
-/// store tool all layer their flags on top of it rather than re-rolling
-/// `--scale`/`--threads` handling.
+/// `false` rejects the token. This is the one place command lines are
+/// parsed — `bench_sim`, `diag`, and the `trace` store tool all layer
+/// their flags on top of it rather than re-rolling `--scale`/`--threads`
+/// handling. A malformed common flag or a rejected token ends the process
+/// through [`exit_usage`] (exit 2).
 #[must_use]
-pub fn run_args_with<F>(default: StudyConfig, extra: F) -> RunArgs
+pub fn run_args_with<F>(default: StudyConfig, mut extra: F) -> RunArgs
 where
     F: FnMut(&str, &mut VecDeque<String>) -> bool,
 {
-    let args = parse_run_args(std::env::args().skip(1).collect(), default, extra);
+    let argv = std::env::args().skip(1).collect();
+    let args = try_parse_run_args(argv, default, |arg, rest| Ok(extra(arg, rest)))
+        .unwrap_or_else(|e| exit_usage(&e));
     apply_run_args(&args);
     args
+}
+
+/// Reports a command-line usage error on stderr, with the shared usage
+/// text, and exits with status 2 — the CLI contract's "usage or input
+/// error" code (0 = ok, 1 = a check failed).
+pub fn exit_usage(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{}", usage_text());
+    std::process::exit(2)
 }
 
 /// Applies the parsed arguments' process-wide side effects: layout
 /// verification (`--verify`) and flight-recorder activation
 /// (`--trace-out`). [`run_args_with`] calls this; binaries that parse an
-/// explicit queue through [`parse_run_args`] call it themselves.
+/// explicit queue through [`try_parse_run_args`] call it themselves.
 pub fn apply_run_args(args: &RunArgs) {
     if args.verify {
         oslay::set_layout_verify(true);
@@ -150,17 +161,47 @@ pub fn apply_run_args(args: &RunArgs) {
     }
 }
 
+/// Pops the value of `flag` off the argument queue.
+///
+/// # Errors
+///
+/// Fails when the queue is empty (the flag was the last token).
+pub fn flag_value(flag: &str, rest: &mut VecDeque<String>) -> Result<String, String> {
+    rest.pop_front()
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Pops and parses the integer value of `flag`.
+///
+/// # Errors
+///
+/// Fails when the value is missing or is not an integer of type `T`.
+pub fn flag_int<T: std::str::FromStr>(
+    flag: &str,
+    rest: &mut VecDeque<String>,
+) -> Result<T, String> {
+    let v = flag_value(flag, rest)?;
+    v.parse()
+        .map_err(|_| format!("{flag} must be an integer, got {v:?}"))
+}
+
 /// The testable core of [`run_args_with`]: parses an explicit argument
 /// queue instead of the process command line.
 ///
-/// # Panics
+/// `extra` handles driver-specific tokens: `Ok(true)` consumed it,
+/// `Ok(false)` does not know it, `Err` rejects its value.
 ///
-/// Panics on an unknown argument (one `extra` rejects), a flag missing
-/// its value, or a malformed value.
-#[must_use]
-pub fn parse_run_args<F>(mut argv: VecDeque<String>, default: StudyConfig, mut extra: F) -> RunArgs
+/// # Errors
+///
+/// Fails on an unknown argument, a flag missing its value, or a
+/// malformed value (unknown scale, non-integer or zero `--threads`).
+pub fn try_parse_run_args<F>(
+    mut argv: VecDeque<String>,
+    default: StudyConfig,
+    mut extra: F,
+) -> Result<RunArgs, String>
 where
-    F: FnMut(&str, &mut VecDeque<String>) -> bool,
+    F: FnMut(&str, &mut VecDeque<String>) -> Result<bool, String>,
 {
     let mut out = RunArgs {
         config: default,
@@ -172,50 +213,38 @@ where
     while let Some(arg) = argv.pop_front() {
         match arg.as_str() {
             "--scale" => {
-                let v = argv.pop_front().expect("--scale needs a value");
-                out.config = match v.as_str() {
+                out.config = match flag_value("--scale", &mut argv)?.as_str() {
                     "tiny" => StudyConfig::tiny(),
                     "small" => StudyConfig::small(),
                     "paper" => StudyConfig::paper(),
-                    other => panic!("unknown scale {other:?} (tiny|small|paper)"),
+                    other => return Err(format!("unknown scale {other:?} (tiny|small|paper)")),
                 };
             }
-            "--blocks" => {
-                let v = argv.pop_front().expect("--blocks needs a value");
-                out.config.os_blocks = v.parse().expect("--blocks must be an integer");
-            }
-            "--seed" => {
-                let v = argv.pop_front().expect("--seed needs a value");
-                out.config.seed = v.parse().expect("--seed must be an integer");
-            }
+            "--blocks" => out.config.os_blocks = flag_int("--blocks", &mut argv)?,
+            "--seed" => out.config.seed = flag_int("--seed", &mut argv)?,
             "--threads" => {
-                let v = argv.pop_front().expect("--threads needs a value");
-                out.threads = v.parse().expect("--threads must be an integer");
-                assert!(out.threads >= 1, "--threads must be >= 1");
+                out.threads = flag_int("--threads", &mut argv)?;
+                if out.threads == 0 {
+                    return Err("--threads must be >= 1".to_owned());
+                }
             }
             "--verify" => out.verify = true,
-            "--trace-out" => {
-                let v = argv.pop_front().expect("--trace-out needs a file path");
-                out.trace_out = Some(PathBuf::from(v));
-            }
+            "--trace-out" => out.trace_out = Some(flag_value("--trace-out", &mut argv)?.into()),
             "--telemetry-out" => {
-                let v = argv.pop_front().expect("--telemetry-out needs a file path");
-                out.telemetry_out = Some(PathBuf::from(v));
+                out.telemetry_out = Some(flag_value("--telemetry-out", &mut argv)?.into());
             }
             "--help" | "-h" => {
                 println!("{}", usage_text());
                 std::process::exit(0);
             }
             other => {
-                assert!(
-                    extra(other, &mut argv),
-                    "unknown argument {other:?}\n{}",
-                    usage_text()
-                );
+                if !extra(other, &mut argv)? {
+                    return Err(format!("unknown argument {other:?}"));
+                }
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Parses the common experiment arguments into a [`StudyConfig`].
@@ -1140,6 +1169,10 @@ mod tests {
     use super::*;
     use oslay_cache::MissKind;
 
+    fn parse(argv: VecDeque<String>, default: StudyConfig) -> RunArgs {
+        try_parse_run_args(argv, default, |_, _| Ok(false)).expect("valid arguments")
+    }
+
     #[test]
     fn ladder_matches_figure12() {
         let names: Vec<&str> = figure12_ladder().iter().map(|&(n, _, _)| n).collect();
@@ -1152,17 +1185,15 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false);
+        let args = parse(argv, StudyConfig::tiny());
         assert_eq!(
             args.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/t.json"))
         );
         assert_eq!(args.threads, 2);
-        assert!(
-            parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
-                .trace_out
-                .is_none()
-        );
+        assert!(parse(VecDeque::new(), StudyConfig::tiny())
+            .trace_out
+            .is_none());
     }
 
     #[test]
@@ -1171,16 +1202,14 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false);
+        let args = parse(argv, StudyConfig::tiny());
         assert_eq!(
             args.telemetry_out.as_deref(),
             Some(std::path::Path::new("/tmp/tel.json"))
         );
-        assert!(
-            parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
-                .telemetry_out
-                .is_none()
-        );
+        assert!(parse(VecDeque::new(), StudyConfig::tiny())
+            .telemetry_out
+            .is_none());
     }
 
     #[test]
@@ -1201,17 +1230,28 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flag_fails_with_usage() {
-        let argv: VecDeque<String> = ["--no-such-flag"].iter().map(|s| (*s).to_owned()).collect();
-        let err =
-            std::panic::catch_unwind(|| parse_run_args(argv, StudyConfig::tiny(), |_, _| false))
-                .expect_err("unknown flag must be rejected");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("unknown argument \"--no-such-flag\""), "{msg}");
-        assert!(
-            msg.contains("--telemetry-out"),
-            "rejection must print the usage text: {msg}"
-        );
+    fn bad_flags_are_rejected() {
+        for (args, want) in [
+            (
+                &["--no-such-flag"][..],
+                "unknown argument \"--no-such-flag\"",
+            ),
+            (&["--threads", "0"], "--threads must be >= 1"),
+            (
+                &["--threads", "x"],
+                "--threads must be an integer, got \"x\"",
+            ),
+            (
+                &["--scale", "bogus"],
+                "unknown scale \"bogus\" (tiny|small|paper)",
+            ),
+            (&["--seed"], "--seed needs a value"),
+        ] {
+            let argv = args.iter().map(|s| (*s).to_owned()).collect();
+            let err = try_parse_run_args(argv, StudyConfig::tiny(), |_, _| Ok(false))
+                .expect_err("bad flag must be rejected");
+            assert_eq!(err, want, "{args:?}");
+        }
     }
 
     #[test]
@@ -1220,9 +1260,9 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let args = parse_run_args(argv, StudyConfig::paper(), |_, _| false);
+        let args = parse(argv, StudyConfig::paper());
         assert!(args.verify);
-        assert!(!parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false).verify);
+        assert!(!parse(VecDeque::new(), StudyConfig::tiny()).verify);
     }
 
     #[test]

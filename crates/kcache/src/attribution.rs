@@ -38,7 +38,9 @@ use std::sync::Arc;
 use oslay_model::{Domain, SeedKind};
 use oslay_observe::{AttrClass, AttributionProbe};
 
-use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
+use crate::{
+    line_runs, AccessDetail, AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats,
+};
 
 /// Placement class of a code address — the categories of the paper's
 /// Figure 13 (mirrors the layout crate's block classes; the cache crate
@@ -795,18 +797,37 @@ impl AttributedCache {
     fn census_slot(code: Option<CodeRef>) -> usize {
         code.map_or(CENSUS_SLOTS - 1, |c| c.class.index())
     }
-}
 
-impl InstructionCache for AttributedCache {
-    fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
+    /// Points the span memo at `addr`'s map range, if it is not there
+    /// already.
+    #[inline]
+    fn resolve(&mut self, addr: u64) {
+        if !(self.span_memo.0 <= addr && addr < self.span_memo.1) {
+            self.span_memo = self.map.lookup_span(addr);
+        }
+    }
+
+    /// Counts `n` census references for the consecutive words starting at
+    /// `addr`, resolving them span by span through the memo (one slot
+    /// increment per span the words cross, not one per word).
+    fn census_words(&mut self, mut addr: u64, mut n: u64) {
+        let word = u64::from(oslay_model::WORD_BYTES);
+        while n > 0 {
+            self.resolve(addr);
+            let here = (self.span_memo.1 - addr).div_ceil(word).min(n);
+            self.census_refs[Self::census_slot(self.span_memo.2)] += here;
+            addr += here * word;
+            n -= here;
+        }
+    }
+
+    /// One fully attributed fetch: the inner cache access plus every
+    /// rollup the report keeps.
+    fn attribute(&mut self, addr: u64, domain: Domain) -> AccessDetail {
         let detail = self.inner.access_detailed(addr, domain);
         self.set_accesses[detail.set as usize] += 1;
-        let code = if self.span_memo.0 <= addr && addr < self.span_memo.1 {
-            self.span_memo.2
-        } else {
-            self.span_memo = self.map.lookup_span(addr);
-            self.span_memo.2
-        };
+        self.resolve(addr);
+        let code = self.span_memo.2;
         self.census_refs[Self::census_slot(code)] += 1;
         // The shadow stack sees every access (hits keep the LRU order
         // honest); its verdict is read before this touch takes effect.
@@ -849,7 +870,36 @@ impl InstructionCache for AttributedCache {
         if let Some(victim) = detail.evicted {
             self.last_evictor.insert(victim, detail.line);
         }
-        detail.outcome
+        detail
+    }
+}
+
+impl InstructionCache for AttributedCache {
+    fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
+        self.attribute(addr, domain).outcome
+    }
+
+    /// The line-run rule of [`Cache`]'s override: one fully attributed
+    /// access per line, then the line's remaining words are bulk-counted
+    /// as the hits they must be. A hit on the MRU line changes nothing
+    /// but the access tallies — the shadow store already holds the line
+    /// at its MRU end, and hits reach no miss rollup — so the report and
+    /// the stats equal the per-word loop's.
+    fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+        let mut missed = 0u64;
+        for (addr, run) in line_runs(base, words, self.inner.config().line()) {
+            let detail = self.attribute(addr, domain);
+            if detail.outcome.is_miss() {
+                missed += 1;
+            }
+            let rest = u64::from(run) - 1;
+            if rest > 0 {
+                self.set_accesses[detail.set as usize] += rest;
+                self.census_words(addr + u64::from(oslay_model::WORD_BYTES), rest);
+                self.inner.record_run_hits(domain, rest);
+            }
+        }
+        missed
     }
 
     fn stats(&self) -> &MissStats {
@@ -1341,6 +1391,77 @@ mod tests {
         assert_eq!(reg.counter("cache.attr.capacity"), 0);
         let sets = reg.histogram("cache.attr.set").expect("set histogram");
         assert_eq!(sets.count(), 11);
+    }
+
+    #[test]
+    fn access_words_matches_per_word_loop() {
+        use oslay_model::rng::Rng;
+        for line in [16u32, 32, 64] {
+            for ways in [1u32, 2, 4] {
+                let seed = u64::from(line) * 10 + u64::from(ways);
+                let mut rng = Rng::seed_from_u64(seed);
+                // Spans of 1..48 bytes with gaps: a line run often crosses
+                // several spans (and unmapped bytes) of mixed classes.
+                let mut spans = Vec::new();
+                let mut at = 0u64;
+                while at < 6_000 {
+                    at += u64::from(rng.gen_range(0..8u32));
+                    let len = u64::from(1 + rng.gen_range(0..48u32));
+                    let block = spans.len() as u32;
+                    let domain = if at < 4_000 { Domain::Os } else { Domain::App };
+                    let class = CodeClass::ALL[rng.gen_range(0..5u32) as usize];
+                    spans.push((at, len, code(domain, block, block / 4, class)));
+                    at += len;
+                }
+                let map = Arc::new(AddressMap::build(spans));
+                let cfg = CacheConfig::new(1024, line, ways);
+                let mut coalesced = AttributedCache::new(Cache::new(cfg), map.clone());
+                let mut per_word = AttributedCache::new(Cache::new(cfg), map);
+                for step in 0..5_000u32 {
+                    match rng.gen_range(0..16u32) {
+                        0 => {
+                            let kind = SeedKind::ALL[rng.gen_range(0..4u32) as usize];
+                            coalesced.note_os_enter(kind);
+                            per_word.note_os_enter(kind);
+                        }
+                        1 => {
+                            coalesced.note_os_exit();
+                            per_word.note_os_exit();
+                        }
+                        2 => {
+                            let tag = rng.gen_range(0..4u32);
+                            coalesced.note_mark(tag);
+                            per_word.note_mark(tag);
+                        }
+                        _ => {}
+                    }
+                    // A block fetch at a byte-granular, not necessarily
+                    // word-aligned base, often straddling lines.
+                    let base = u64::from(rng.gen_range(0..6_200u32));
+                    let words = 1 + rng.gen_range(0..24u32);
+                    let domain = if base < 4_000 {
+                        Domain::Os
+                    } else {
+                        Domain::App
+                    };
+                    let fast = coalesced.access_words(base, words, domain);
+                    let mut slow = 0u64;
+                    for w in 0..words {
+                        let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
+                        if per_word.access(addr, domain).is_miss() {
+                            slow += 1;
+                        }
+                    }
+                    assert_eq!(fast, slow, "line {line} ways {ways} step {step}");
+                    assert_eq!(coalesced.stats(), per_word.stats());
+                }
+                assert_eq!(
+                    coalesced.report(),
+                    per_word.report(),
+                    "line {line} ways {ways}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use census::SetCensus;
 pub use config::CacheConfig;
 pub use multisim::MultiSim;
 pub use reserved::ReservedCache;
-pub use sim::{AccessDetail, AccessOutcome, Cache, MissKind};
+pub use sim::{line_runs, AccessDetail, AccessOutcome, Cache, MissKind};
 pub use split::SplitCache;
 pub use stats::MissStats;
 

@@ -426,6 +426,44 @@ impl Cache {
     }
 }
 
+/// Splits a fetch of `words` consecutive words from `base` into line runs
+/// for `line`-byte cache lines: `(address of the run's first word, words
+/// in the run)`, one per cache line the fetch touches.
+///
+/// This is the line-run rule every `access_words` override relies on:
+/// after a run's first word the line is resident and most-recently-used,
+/// so the run's other words are guaranteed hits that would change no
+/// replacement state if touched one by one.
+pub fn line_runs(base: u64, words: u32, line: u32) -> impl Iterator<Item = (u64, u32)> {
+    let word = u64::from(oslay_model::WORD_BYTES);
+    let line = u64::from(line);
+    let mut w = 0u32;
+    std::iter::from_fn(move || {
+        if w >= words {
+            return None;
+        }
+        let addr = base + u64::from(w) * word;
+        // Words left in this cache line, rounding up: block layouts are
+        // byte-granular, so a fetch base need not be word-aligned and a
+        // partial trailing word still belongs to (and ends) this line.
+        let in_line = (line - (addr % line)).div_ceil(word) as u32;
+        let run = in_line.min(words - w);
+        w += run;
+        Some((addr, run))
+    })
+}
+
+impl Cache {
+    /// Counts `n` further hits by `domain` on the line the previous access
+    /// left most-recently-used: the bulk half of a line run
+    /// ([`line_runs`]). Replacement state and the clock stay untouched:
+    /// the line is already the most recent in its set, so per-word
+    /// re-touches could not change which line a later miss evicts.
+    pub(crate) fn record_run_hits(&mut self, domain: Domain, n: u64) {
+        self.stats.record_hits(domain, n);
+    }
+}
+
 impl InstructionCache for Cache {
     #[inline]
     fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
@@ -433,25 +471,12 @@ impl InstructionCache for Cache {
     }
 
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
-        let word = u64::from(oslay_model::WORD_BYTES);
-        let line = u64::from(self.cfg.line());
         let mut missed = 0u64;
-        let mut w = 0u32;
-        while w < words {
-            let addr = base + u64::from(w) * word;
-            // Words left in this cache line, rounding up: block layouts are
-            // byte-granular, so a fetch base need not be word-aligned and a
-            // partial trailing word still belongs to (and ends) this line.
-            let in_line = (line - (addr % line)).div_ceil(word) as u32;
-            let run = in_line.min(words - w);
+        for (addr, run) in line_runs(base, words, self.cfg.line()) {
             if matches!(self.access(addr, domain), AccessOutcome::Miss(_)) {
                 missed += 1;
             }
-            // The remaining `run - 1` words of the line are guaranteed
-            // hits: the line is resident and already MRU, so re-touching
-            // it per word would not change any replacement state.
-            self.stats.record_hits(domain, u64::from(run) - 1);
-            w += run;
+            self.record_run_hits(domain, u64::from(run) - 1);
         }
         missed
     }

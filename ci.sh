@@ -106,6 +106,25 @@ diff <(grep -vE "$nondet" "$tmpdir/t1/results/all_experiments.json") \
      <(grep -vE "$nondet" "$tmpdir/t2/results/all_experiments.json")
 rm -rf "$tmpdir"
 
+echo "== paper-scale Figure 12 reproduces the committed results =="
+# The matrix's stdout and its deterministic report fields — the
+# aggregate stats and the `cache.*` counters each replay posts — must
+# equal the committed paper-scale artifacts byte for byte.
+tmpdir="$(mktemp -d)"
+repo_root="$PWD"
+(
+  cd "$tmpdir"
+  mkdir -p results
+  cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+    -p oslay-bench --bin fig12_optimization_levels -- \
+    --scale paper --threads 2 > stdout.txt 2> /dev/null
+)
+diff "$tmpdir/stdout.txt" results/fig12_optimization_levels.txt
+nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
+diff <(grep -vE "$nondet" "$tmpdir/results/fig12_optimization_levels.json") \
+     <(grep -vE "$nondet" results/fig12_optimization_levels.json)
+rm -rf "$tmpdir"
+
 echo "== flight recorder gate: schema-valid trace, stdout unperturbed =="
 tmpdir="$(mktemp -d)"
 repo_root="$PWD"

@@ -1,17 +1,13 @@
 //! Timing benches for the cache simulator: fetch throughput for the
-//! unified, split, and reserved organizations, across geometries, plus
-//! the cost of a no-op observability probe (which must be nil).
+//! unified, split, and reserved organizations, across geometries.
 //!
 //! Plain `std::time::Instant` harness (`harness = false`), printing the
 //! median wall time per case — no external bench framework, so
 //! `cargo bench` works offline.
 
-use std::sync::Arc;
-
 use oslay_bench::timing::bench_case;
 use oslay_cache::{Cache, CacheConfig, InstructionCache, ReservedCache, SplitCache};
 use oslay_model::Domain;
-use oslay_observe::NoopProbe;
 
 /// A deterministic pseudo-random-ish address stream with OS/app phases,
 /// loops and strides — enough structure to exercise hits, misses and
@@ -72,9 +68,6 @@ fn main() {
     println!("cache/organizations:");
     let cfg = CacheConfig::paper_default();
     bench_case("  unified", 20, n, || run(&mut Cache::new(cfg), &stream));
-    bench_case("  unified+noop-probe", 20, n, || {
-        run(&mut Cache::with_probe(cfg, Arc::new(NoopProbe)), &stream)
-    });
     bench_case("  split", 20, n, || {
         run(&mut SplitCache::halves_of(cfg), &stream)
     });

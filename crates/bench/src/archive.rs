@@ -14,7 +14,7 @@ use std::sync::Arc;
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{FanoutSink, Replayer, SimConfig, SimResult, Study, WorkloadCase};
 use oslay_layout::Layout;
-use oslay_observe::{MetricRegistry, Probe};
+use oslay_observe::MetricRegistry;
 use oslay_tracestore::{StoreError, StoreSummary, TraceReader, TraceWriter};
 
 use crate::{app_layout_for, figure12_ladder};
@@ -75,9 +75,9 @@ pub struct LayoutPair<'a> {
     pub app: Option<&'a Layout>,
 }
 
-/// Replays one archived case through a probed cache, mirroring
-/// [`crate::run_probed_on`] event for event: same replayer, same probe
-/// wiring, same final occupancy snapshot. The only difference is the
+/// Replays one archived case through a plain cache, mirroring
+/// [`crate::run_probed_on`] event for event: same replayer, same
+/// post-replay `cache.*` report. The only difference is the
 /// event source — a [`TraceReader`] instead of a regenerated walk — so
 /// the metric registry and result are identical when the archive is
 /// faithful.
@@ -95,15 +95,14 @@ pub fn replay_archived_probed(
     sim: &SimConfig,
     registry: &Arc<MetricRegistry>,
 ) -> Result<SimResult, StoreError> {
-    let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(registry) as _;
-    let mut cache = Cache::with_probe(cache_cfg, probe);
+    let mut cache = Cache::new(cache_cfg);
     let mut reader = TraceReader::open(path)?;
     let result = {
         let mut replayer = study.replayer_for(case, layouts.os, layouts.app, &mut cache, sim);
         reader.replay_into(&mut replayer)?;
         replayer.finish()
     };
-    cache.record_occupancy();
+    cache.report_into(registry.as_ref());
     Ok(result)
 }
 
@@ -155,7 +154,7 @@ pub fn run_archived_figure12_matrix(
         let _t = oslay_observe::timeline::scope(group, i as u64, case.name().to_owned());
         let path = dir.join(archive_file_name(case));
 
-        // One probed cache + registry shard per ladder level. The app
+        // One cache + registry shard per ladder level. The app
         // layouts live beside them: each replayer borrows its level's.
         let shards: Vec<Arc<MetricRegistry>> = (0..ladder_ref.len())
             .map(|_| Arc::new(MetricRegistry::new()))
@@ -164,12 +163,8 @@ pub fn run_archived_figure12_matrix(
             .iter()
             .map(|&(_, _, side)| app_layout_for(study, case, side, cache_cfg.size()))
             .collect();
-        let mut caches: Vec<Cache> = shards
-            .iter()
-            .map(|shard| {
-                let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(shard) as _;
-                Cache::with_probe(cache_cfg, probe)
-            })
+        let mut caches: Vec<Cache> = (0..ladder_ref.len())
+            .map(|_| Cache::new(cache_cfg))
             .collect();
         let mut replayers: Vec<_> = caches
             .iter_mut()
@@ -197,8 +192,8 @@ pub fn run_archived_figure12_matrix(
         }
 
         let row: Vec<SimResult> = replayers.into_iter().map(Replayer::finish).collect();
-        for cache in &mut caches {
-            cache.record_occupancy();
+        for (cache, shard) in caches.iter().zip(&shards) {
+            cache.report_into(shard.as_ref());
         }
         Ok::<_, StoreError>(row.into_iter().zip(shards).collect::<Vec<_>>())
     });

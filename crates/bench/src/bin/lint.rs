@@ -3,7 +3,8 @@
 //! Builds the study's layouts and runs the `oslay-verify` invariant
 //! checker over each one, with no simulation. Exit-code contract: `0`
 //! when every report is clean (warnings allowed unless `--deny warnings`),
-//! `1` when any diagnostic fails, `2` for a malformed command line.
+//! `1` when any diagnostic fails, `2` for a malformed command line
+//! (including a `--layout-file` that cannot be read or is not a layout).
 //!
 //! ```text
 //! lint [--scale tiny|small|paper] [--blocks N] [--seed N]
@@ -44,7 +45,8 @@ use oslay_verify::{
 struct LintArgs {
     config: StudyConfig,
     layouts: Vec<String>,
-    layout_file: Option<std::path::PathBuf>,
+    /// The `--layout-file` path and the layout it holds.
+    layout_file: Option<(std::path::PathBuf, LayoutView)>,
     json: bool,
     deny_warnings: bool,
     mutate: Option<String>,
@@ -57,7 +59,7 @@ const ALL_LAYOUTS: [&str; 6] = ["base", "ch", "opts", "optl", "opta", "call"];
 
 fn parse_args() -> LintArgs {
     let mut layouts: Vec<String> = Vec::new();
-    let mut layout_file: Option<std::path::PathBuf> = None;
+    let mut layout_file: Option<(std::path::PathBuf, LayoutView)> = None;
     let mut json = false;
     let mut deny_warnings = false;
     let mut mutate: Option<String> = None;
@@ -79,7 +81,14 @@ fn parse_args() -> LintArgs {
                     ));
                 }
             }
-            "--layout-file" => layout_file = Some(flag_value(arg, rest)?.into()),
+            "--layout-file" => {
+                // Loaded while parsing, so a missing or malformed file is
+                // a usage error before any study is generated.
+                let path = std::path::PathBuf::from(flag_value(arg, rest)?);
+                let view = load_layout_view(&path)
+                    .map_err(|e| format!("--layout-file {}: {e}", path.display()))?;
+                layout_file = Some((path, view));
+            }
             "--json" => json = true,
             "--deny" => {
                 let v = flag_value(arg, rest)?;
@@ -202,63 +211,78 @@ fn apply_mutation(opt: &OptLayout, view: &mut LayoutView, cache_size: u32, which
     }
 }
 
+/// Why a `--layout-file` could not be loaded.
+#[derive(Debug)]
+enum LayoutFileError {
+    /// The file could not be read.
+    Read(std::io::Error),
+    /// The contents are not JSON.
+    NotJson(oslay_observe::json::JsonError),
+    /// A required key is absent.
+    Missing(&'static str),
+    /// A key is present with the wrong shape (the message says which).
+    Malformed(&'static str),
+    /// `"addr"` and `"size"` list different block counts.
+    LengthMismatch { addr: usize, size: usize },
+}
+
+impl std::fmt::Display for LayoutFileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Read(e) => write!(f, "{e}"),
+            Self::NotJson(e) => write!(f, "not JSON: {e}"),
+            Self::Missing(key) => write!(f, "missing {key:?}"),
+            Self::Malformed(what) => f.write_str(what),
+            Self::LengthMismatch { addr, size } => {
+                write!(f, "\"addr\" has {addr} entries but \"size\" has {size}")
+            }
+        }
+    }
+}
+
 /// Loads an external layout file (`search --layout-out` format: a JSON
 /// object with `"name"`, `"addr"` and `"size"` arrays) as a
 /// [`LayoutView`].
-fn load_layout_view(path: &std::path::Path) -> LayoutView {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("--layout-file {}: {e}", path.display()));
-    let doc = oslay_observe::json::parse(&text)
-        .unwrap_or_else(|e| panic!("--layout-file {}: not JSON: {e}", path.display()));
-    let field = |key: &str| {
-        doc.get(key)
-            .unwrap_or_else(|| panic!("--layout-file {}: missing {key:?}", path.display()))
-    };
-    let list = |key: &str| {
-        field(key)
+fn load_layout_view(path: &std::path::Path) -> Result<LayoutView, LayoutFileError> {
+    use oslay_observe::json::JsonValue;
+
+    let text = std::fs::read_to_string(path).map_err(LayoutFileError::Read)?;
+    let doc = oslay_observe::json::parse(&text).map_err(LayoutFileError::NotJson)?;
+    let field = |key: &'static str| doc.get(key).ok_or(LayoutFileError::Missing(key));
+    let list = |key: &'static str, what: &'static str| -> Result<&[JsonValue], LayoutFileError> {
+        field(key)?
             .as_array()
-            .unwrap_or_else(|| panic!("--layout-file {}: {key:?} must be an array", path.display()))
+            .ok_or(LayoutFileError::Malformed(what))
     };
-    let name = field("name")
+    let name = field("name")?
         .as_str()
-        .unwrap_or_else(|| {
-            panic!(
-                "--layout-file {}: \"name\" must be a string",
-                path.display()
-            )
-        })
+        .ok_or(LayoutFileError::Malformed("\"name\" must be a string"))?
         .to_owned();
-    let addr: Vec<u64> = list("addr")
+    let addr = list("addr", "\"addr\" must be an array")?
         .iter()
         .map(|v| {
-            v.as_u64().unwrap_or_else(|| {
-                panic!(
-                    "--layout-file {}: \"addr\" entries must be non-negative integers",
-                    path.display()
-                )
-            })
+            v.as_u64().ok_or(LayoutFileError::Malformed(
+                "\"addr\" entries must be non-negative integers",
+            ))
         })
-        .collect();
-    let size: Vec<u32> = list("size")
+        .collect::<Result<Vec<u64>, _>>()?;
+    let size = list("size", "\"size\" must be an array")?
         .iter()
         .map(|v| {
             v.as_u64()
                 .and_then(|n| u32::try_from(n).ok())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "--layout-file {}: \"size\" entries must be u32 integers",
-                        path.display()
-                    )
-                })
+                .ok_or(LayoutFileError::Malformed(
+                    "\"size\" entries must be u32 integers",
+                ))
         })
-        .collect();
-    assert_eq!(
-        addr.len(),
-        size.len(),
-        "--layout-file {}: addr and size lengths differ",
-        path.display()
-    );
-    LayoutView { name, addr, size }
+        .collect::<Result<Vec<u32>, _>>()?;
+    if addr.len() != size.len() {
+        return Err(LayoutFileError::LengthMismatch {
+            addr: addr.len(),
+            size: size.len(),
+        });
+    }
+    Ok(LayoutView { name, addr, size })
 }
 
 fn print_report(report: &VerifyReport, json: bool) {
@@ -422,12 +446,11 @@ fn main() -> ExitCode {
                 other => unreachable!("unknown layout {other}"),
             }
         }
-        if let Some(path) = &args.layout_file {
+        if let Some((path, view)) = args.layout_file {
             // External layouts (e.g. `search --layout-out`) must both
             // re-assemble against the kernel program — which checks
             // block count, span validity and stretch accounting — and
             // pass the structural invariants on the view itself.
-            let view = load_layout_view(path);
             if view.addr.len() != program.num_blocks() {
                 eprintln!(
                     "lint: {}: {} block(s) but the kernel has {} — wrong --scale/--blocks/--seed?",

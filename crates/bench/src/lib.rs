@@ -33,7 +33,7 @@ use oslay_layout::Layout;
 use oslay_model::synth::Scale;
 use oslay_model::Domain;
 use oslay_observe::timeline;
-use oslay_observe::{global_recorder, AttributionProbe, MetricRegistry, Probe, RunReport};
+use oslay_observe::{global_recorder, AttributionProbe, MetricRegistry, RunReport};
 
 /// Every experiment binary counts allocations: the counting allocator is
 /// a pair of relaxed atomic adds on top of the system allocator, cheap
@@ -324,10 +324,10 @@ pub fn run_case(
     study.simulate(case, &os.layout, app.as_ref(), &mut cache, sim)
 }
 
-/// Like [`run_case`], but with precomputed layouts: routes the cache's
-/// miss/eviction events into `registry` and records a final set-occupancy
-/// snapshot, so the run report carries `cache.*` metrics alongside the
-/// aggregate statistics.
+/// Like [`run_case`], but with precomputed layouts: after the replay,
+/// posts the cache's miss/eviction counts and a final set-occupancy
+/// snapshot into `registry` ([`Cache::report_into`]), so the run report
+/// carries `cache.*` metrics alongside the aggregate statistics.
 ///
 /// Sharded drivers call this directly with memoized layouts (building an
 /// OS layout is far more expensive than replaying a tiny trace through
@@ -342,16 +342,16 @@ pub fn run_probed_on(
     sim: &SimConfig,
     registry: &Arc<MetricRegistry>,
 ) -> SimResult {
-    let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(registry) as _;
-    let mut cache = Cache::with_probe(cache_cfg, probe);
+    let mut cache = Cache::new(cache_cfg);
     let result = study.simulate(case, os_layout, app_layout, &mut cache, sim);
-    cache.record_occupancy();
+    cache.report_into(registry.as_ref());
     result
 }
 
-/// Like [`run_case`], but routes the cache's miss/eviction events into
-/// `registry` and records a final set-occupancy snapshot, so the run
-/// report carries `cache.*` metrics alongside the aggregate statistics.
+/// Like [`run_case`], but posts the cache's miss/eviction counts and a
+/// final set-occupancy snapshot into `registry` after the replay
+/// ([`run_probed_on`]), so the run report carries `cache.*` metrics
+/// alongside the aggregate statistics.
 #[must_use]
 pub fn run_case_probed(
     study: &Study,

@@ -17,8 +17,38 @@ fn run(bin: &str, args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
+/// Malformed `lint --layout-file` inputs, written into the directory the
+/// binaries run in so the table can name them by relative path.
+const LAYOUT_FILES: [(&str, &str); 6] = [
+    ("cli_usage_layout_not_json.json", "not a layout"),
+    (
+        "cli_usage_layout_no_name.json",
+        r#"{"addr":[0],"size":[4]}"#,
+    ),
+    (
+        "cli_usage_layout_no_size.json",
+        r#"{"name":"x","addr":[0]}"#,
+    ),
+    (
+        "cli_usage_layout_float_addr.json",
+        r#"{"name":"x","addr":[1.5],"size":[4]}"#,
+    ),
+    (
+        "cli_usage_layout_negative_size.json",
+        r#"{"name":"x","addr":[0],"size":[-4]}"#,
+    ),
+    (
+        "cli_usage_layout_lengths.json",
+        r#"{"name":"x","addr":[0,8],"size":[4]}"#,
+    ),
+];
+
 #[test]
 fn bad_invocations_are_usage_errors() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, body) in LAYOUT_FILES {
+        std::fs::write(dir.join(name), body).expect("write temp file");
+    }
     let cases: &[(&str, &[&str], &str)] = &[
         (ANALYZE, &["--threads", "0"], "--threads must be >= 1"),
         (ANALYZE, &["--threads", "x"], "--threads must be an integer"),
@@ -51,6 +81,41 @@ fn bad_invocations_are_usage_errors() {
         (LINT, &["--top", "x"], "--top must be an integer"),
         (LINT, &["--deny", "errors"], "unknown --deny \"errors\""),
         (LINT, &["--scale", "huge"], "unknown scale \"huge\""),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_missing.json"],
+            "--layout-file cli_usage_layout_missing.json: ",
+        ),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_not_json.json"],
+            "not JSON",
+        ),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_no_name.json"],
+            "missing \"name\"",
+        ),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_no_size.json"],
+            "missing \"size\"",
+        ),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_float_addr.json"],
+            "\"addr\" entries must be non-negative integers",
+        ),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_negative_size.json"],
+            "\"size\" entries must be u32 integers",
+        ),
+        (
+            LINT,
+            &["--layout-file", "cli_usage_layout_lengths.json"],
+            "\"addr\" has 2 entries but \"size\" has 1",
+        ),
         (TRACE, &["replay", "--dir"], "--dir needs a value"),
         (
             TRACE,

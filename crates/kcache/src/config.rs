@@ -20,11 +20,16 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics unless `size`, `line` and `ways` are powers of two,
-    /// `line <= size`, and `ways <= size / line`.
+    /// `line` holds at least one instruction word, `line <= size`, and
+    /// `ways <= size / line`.
     #[must_use]
     pub fn new(size: u32, line: u32, ways: u32) -> Self {
         assert!(size.is_power_of_two(), "cache size must be a power of two");
         assert!(line.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line >= oslay_model::WORD_BYTES,
+            "line smaller than an instruction word"
+        );
         assert!(
             ways.is_power_of_two(),
             "associativity must be a power of two"

@@ -34,7 +34,7 @@
 use oslay_model::Domain;
 use oslay_observe::Probe;
 
-use crate::sim::EvictTable;
+use crate::sim::{post_cache_metrics, EvictTable};
 use crate::{CacheConfig, MissKind, MissStats};
 
 /// Sentinel for "no eviction recorded for this point in this access".
@@ -592,39 +592,23 @@ impl MultiSim {
         MissStats::from_parts(self.accesses, hits, mk)
     }
 
-    /// Reports one point's cache events into `probe` exactly as a probed
-    /// [`crate::Cache`] plus [`crate::Cache::record_occupancy`] would
-    /// have: per-kind miss counters and per-evictor eviction counters
-    /// (created only when nonzero, since a probed cache only touches a
-    /// counter on an event), one `cache.set_occupancy` histogram sample
-    /// per set in set order, and the `cache.occupancy` fill gauge.
+    /// Reports one point's cache events into `probe` exactly as
+    /// [`crate::Cache::report_into`] reports a dedicated cache after the
+    /// same stream: per-kind miss counters and per-evictor eviction
+    /// counters (created only when nonzero), one `cache.set_occupancy`
+    /// histogram sample per set in set order, and the `cache.occupancy`
+    /// fill gauge.
     pub fn report_into(&self, point: usize, probe: &dyn Probe) {
         let (bi, pi) = self.point_map[point];
         let bank = &self.banks[bi];
         let p = &bank.points[pi];
-        for kind in MissKind::ALL {
-            let n = p.misses_by_kind[kind.index()];
-            if n > 0 {
-                probe.counter_add(kind.metric_name(), n);
-            }
-        }
-        for (domain, name) in [
-            (Domain::Os, "cache.evict.by_os"),
-            (Domain::App, "cache.evict.by_app"),
-        ] {
-            let n = p.evict_by_domain[domain.index()];
-            if n > 0 {
-                probe.counter_add(name, n);
-            }
-        }
-        let occ = bank.occupancy(pi);
-        let mut valid_total = 0u64;
-        for &o in &occ {
-            valid_total += u64::from(o);
-            probe.histogram_record("cache.set_occupancy", u64::from(o));
-        }
-        let slots = u64::from(p.cfg.num_sets()) * u64::from(p.ways);
-        probe.gauge_set("cache.occupancy", valid_total as f64 / slots as f64);
+        post_cache_metrics(
+            probe,
+            p.misses_by_kind,
+            p.evict_by_domain,
+            bank.occupancy(pi).into_iter().map(u64::from),
+            u64::from(p.cfg.num_sets()) * u64::from(p.ways),
+        );
     }
 
     /// Verifies the structural invariants of every bank stack (bounded
@@ -750,19 +734,12 @@ mod tests {
 
     #[test]
     fn report_matches_probed_cache_and_occupancy() {
-        use std::sync::Arc;
-
         let grid = grid();
         let mut multi = MultiSim::new(&grid);
-        let probed: Vec<(Arc<MetricRegistry>, Cache)> = grid
+        let mut probed: Vec<(MetricRegistry, Cache)> = grid
             .iter()
-            .map(|&c| {
-                let reg = Arc::new(MetricRegistry::new());
-                let cache = Cache::with_probe(c, reg.clone());
-                (reg, cache)
-            })
+            .map(|&c| (MetricRegistry::new(), Cache::new(c)))
             .collect();
-        let mut probed = probed;
         random_stream(0x0CC, 15_000, 6 * 1024, |base, words, domain| {
             multi.access_words(base, words, domain);
             for (_, c) in &mut probed {
@@ -770,7 +747,7 @@ mod tests {
             }
         });
         for (pi, (reg, c)) in probed.iter().enumerate() {
-            c.record_occupancy();
+            c.report_into(reg);
             let mine = MetricRegistry::new();
             multi.report_into(pi, &mine);
             assert_eq!(

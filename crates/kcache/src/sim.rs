@@ -8,9 +8,7 @@
 //! replays randomized traces through both, asserting identical per-access
 //! outcomes.
 
-use std::sync::Arc;
-
-use oslay_model::Domain;
+use oslay_model::{Domain, WORD_BYTES};
 use oslay_observe::timeline::{self, CacheProbeSnapshot};
 use oslay_observe::Probe;
 
@@ -244,9 +242,9 @@ pub struct Cache {
     evicted_by: EvictTable,
     clock: u64,
     stats: MissStats,
-    /// Consulted only on the miss path and in
-    /// [`Cache::record_occupancy`], never on hits.
-    probe: Option<Arc<dyn Probe + Send + Sync>>,
+    /// Valid lines displaced since the last reset, by evictor domain
+    /// (indexed by [`Domain::index`]); posted by [`Cache::report_into`].
+    evictions: [u64; 2],
     /// Eviction-age histogram (log2 buckets of `clock - last_touch`),
     /// allocated only while the timeline has telemetry enabled.
     /// Touched only on the eviction path.
@@ -259,7 +257,6 @@ impl std::fmt::Debug for Cache {
             .field("cfg", &self.cfg)
             .field("clock", &self.clock)
             .field("stats", &self.stats)
-            .field("probe", &self.probe.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -292,7 +289,7 @@ impl Cache {
             evicted_by: EvictTable::new(cfg.num_sets() as usize, evict_cap),
             clock: 0,
             stats: MissStats::default(),
-            probe: None,
+            evictions: [0; 2],
             evict_ages: None,
         }
     }
@@ -304,82 +301,78 @@ impl Cache {
         self.evicted_by.len()
     }
 
-    /// Creates an empty cache reporting metrics to `probe`: miss
-    /// counters by kind (`cache.miss.*`) and evictions by evictor domain
-    /// (`cache.evict.*`). The probe is touched only when an access
-    /// misses, so hit-path cost is identical to [`Cache::new`].
-    #[must_use]
-    pub fn with_probe(cfg: CacheConfig, probe: Arc<dyn Probe + Send + Sync>) -> Self {
-        let mut cache = Self::new(cfg);
-        cache.probe = Some(probe);
-        cache
-    }
-
-    /// Attaches (or with `None` detaches) a probe after construction.
-    pub fn set_probe(&mut self, probe: Option<Arc<dyn Probe + Send + Sync>>) {
-        self.probe = probe;
-    }
-
     /// This cache's geometry.
     #[must_use]
     pub fn config(&self) -> CacheConfig {
         self.cfg
     }
 
-    /// Reports the current fill state to the attached probe: one
-    /// `cache.set_occupancy` histogram sample per set (number of valid
-    /// ways) and the overall fill fraction as the `cache.occupancy`
-    /// gauge. No-op without a probe.
-    pub fn record_occupancy(&self) {
-        let Some(probe) = &self.probe else { return };
-        let mut valid_total = 0usize;
-        for set in self.tags.chunks(self.ways_per_set) {
-            let occupied = set.iter().filter(|&&tag| tag != TAG_EMPTY).count();
-            valid_total += occupied;
-            probe.histogram_record("cache.set_occupancy", occupied as u64);
-        }
-        probe.gauge_set(
-            "cache.occupancy",
-            valid_total as f64 / self.tags.len() as f64,
+    /// Reports this cache's events since the last reset into `probe`, by
+    /// the rule [`crate::MultiSim::report_into`] follows: per-kind miss
+    /// counters (`cache.miss.*`) and per-evictor eviction counters
+    /// (`cache.evict.*`), each created only when nonzero, then one
+    /// `cache.set_occupancy` histogram sample per set in set order and
+    /// the `cache.occupancy` fill gauge.
+    ///
+    /// The replay itself never touches a probe: callers post the counts
+    /// once, after the replay.
+    pub fn report_into(&self, probe: &dyn Probe) {
+        let occupancy = self
+            .tags
+            .chunks(self.ways_per_set)
+            .map(|set| set.iter().filter(|&&tag| tag != TAG_EMPTY).count() as u64);
+        post_cache_metrics(
+            probe,
+            MissKind::ALL.map(|kind| self.stats.misses(kind)),
+            self.evictions,
+            occupancy,
+            self.tags.len() as u64,
         );
     }
 
-    /// Like [`InstructionCache::access`], but also reports the touched
-    /// line, its set, and the line evicted by the fill (if any).
-    ///
-    /// The hit path is branch-light: one shift-and-mask decomposition, a
-    /// scan of at most `ways` dense tags, one LRU stamp. Maps are only
-    /// consulted on misses.
-    #[inline]
-    pub fn access_detailed(&mut self, addr: u64, domain: Domain) -> AccessDetail {
-        self.clock += 1;
-        let clock = self.clock;
-        let key = addr >> self.line_shift;
+    /// Looks `key` up in its set, advancing the clock once. A hit stamps
+    /// the way most-recently-used and returns `true`; a miss changes
+    /// nothing else and leaves the fill to [`Cache::fill`].
+    #[inline(always)]
+    fn touch_line(&mut self, key: u64) -> bool {
         debug_assert_ne!(key, TAG_EMPTY, "address in the topmost line");
-        let set = (key & self.set_mask) as u32;
-        let line = key << self.line_shift;
-        let base = set as usize * self.ways_per_set;
-        let ways = base..base + self.ways_per_set;
-
-        // Hit? (A key never equals TAG_EMPTY, so no validity check.)
-        for i in ways.clone() {
-            if self.tags[i] == key {
-                self.lru[i] = clock;
-                self.stats.record(domain, AccessOutcome::Hit);
-                return AccessDetail {
-                    outcome: AccessOutcome::Hit,
-                    line,
-                    set,
-                    evicted: None,
-                };
+        self.clock += 1;
+        let base = (key & self.set_mask) as usize * self.ways_per_set;
+        // A key never equals TAG_EMPTY, so no validity check.
+        if self.ways_per_set == 1 {
+            // Direct-mapped (the paper's geometry): one compare, no scan.
+            let hit = self.tags[base] == key;
+            if hit {
+                self.lru[base] = self.clock;
             }
+            return hit;
         }
+        match self.tags[base..base + self.ways_per_set]
+            .iter()
+            .position(|&tag| tag == key)
+        {
+            Some(i) => {
+                self.lru[base + i] = self.clock;
+                true
+            }
+            None => false,
+        }
+    }
 
-        // Miss: fill the first invalid way, else the first-least-recently
-        // used one (matching the reference implementation's tie-break).
+    /// The miss path, kept out of line so the hit loops stay tight:
+    /// fills `key` at the current clock into the first invalid way, else
+    /// the first least-recently-used one (matching the reference
+    /// implementation's tie-break), records the miss, and returns its
+    /// kind with the displaced valid line's key, if any.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, key: u64, domain: Domain) -> (MissKind, Option<u64>) {
+        let clock = self.clock;
+        let set = (key & self.set_mask) as u32;
+        let base = set as usize * self.ways_per_set;
         let mut victim = base;
         let mut best = (self.tags[base] != TAG_EMPTY, self.lru[base]);
-        for i in ways.skip(1) {
+        for i in base + 1..base + self.ways_per_set {
             let rank = (self.tags[i] != TAG_EMPTY, self.lru[i]);
             if rank < best {
                 best = rank;
@@ -395,6 +388,7 @@ impl Cache {
         self.lru[victim] = clock;
         if evicted_valid {
             self.evicted_by.record(set, evictee, domain);
+            self.evictions[domain.index()] += 1;
             if let Some(ages) = self.evict_ages.as_deref_mut() {
                 ages[(clock - victim_last).ilog2() as usize] += 1;
             }
@@ -403,27 +397,74 @@ impl Cache {
         // prior fill, and every displacement of a valid line leaves a
         // provenance record — so the evict table doubles as the seen-set.
         let kind = MissKind::classify(domain, self.evicted_by.lookup(set, key));
-        if let Some(probe) = &self.probe {
-            probe.counter_add(kind.metric_name(), 1);
-            if evicted_valid {
-                probe.counter_add(
-                    match domain {
-                        Domain::Os => "cache.evict.by_os",
-                        Domain::App => "cache.evict.by_app",
-                    },
-                    1,
-                );
-            }
+        self.stats.record(domain, AccessOutcome::Miss(kind));
+        (kind, evicted_valid.then_some(evictee))
+    }
+
+    /// Like [`InstructionCache::access`], but also reports the touched
+    /// line, its set, and the line evicted by the fill (if any).
+    ///
+    /// The hit path is branch-light: one shift-and-mask decomposition, a
+    /// scan of at most `ways` dense tags, one LRU stamp. Maps are only
+    /// consulted on misses.
+    #[inline]
+    pub fn access_detailed(&mut self, addr: u64, domain: Domain) -> AccessDetail {
+        let key = addr >> self.line_shift;
+        let set = (key & self.set_mask) as u32;
+        let line = key << self.line_shift;
+        if self.touch_line(key) {
+            self.stats.record(domain, AccessOutcome::Hit);
+            return AccessDetail {
+                outcome: AccessOutcome::Hit,
+                line,
+                set,
+                evicted: None,
+            };
         }
-        let outcome = AccessOutcome::Miss(kind);
-        self.stats.record(domain, outcome);
+        let (kind, evicted) = self.fill(key, domain);
         AccessDetail {
-            outcome,
+            outcome: AccessOutcome::Miss(kind),
             line,
             set,
-            evicted: evicted_valid.then(|| evictee << self.line_shift),
+            evicted: evicted.map(|k| k << self.line_shift),
         }
     }
+}
+
+/// Posts one cache's event counts into `probe`: the `cache.*` reporting
+/// rule [`Cache::report_into`] and [`crate::MultiSim::report_into`]
+/// share. Miss counters by kind (indexed by [`MissKind::index`]) and
+/// eviction counters by evictor domain are created only when nonzero;
+/// `occupancy` yields each set's valid ways in set order, and `slots` is
+/// the cache's total way count.
+pub(crate) fn post_cache_metrics(
+    probe: &dyn Probe,
+    misses: [u64; 5],
+    evictions: [u64; 2],
+    occupancy: impl Iterator<Item = u64>,
+    slots: u64,
+) {
+    for kind in MissKind::ALL {
+        let n = misses[kind.index()];
+        if n > 0 {
+            probe.counter_add(kind.metric_name(), n);
+        }
+    }
+    for (domain, name) in [
+        (Domain::Os, "cache.evict.by_os"),
+        (Domain::App, "cache.evict.by_app"),
+    ] {
+        let n = evictions[domain.index()];
+        if n > 0 {
+            probe.counter_add(name, n);
+        }
+    }
+    let mut valid_total = 0u64;
+    for occupied in occupancy {
+        valid_total += occupied;
+        probe.histogram_record("cache.set_occupancy", occupied);
+    }
+    probe.gauge_set("cache.occupancy", valid_total as f64 / slots as f64);
 }
 
 /// Splits a fetch of `words` consecutive words from `base` into line runs
@@ -433,9 +474,12 @@ impl Cache {
 /// This is the line-run rule every `access_words` override relies on:
 /// after a run's first word the line is resident and most-recently-used,
 /// so the run's other words are guaranteed hits that would change no
-/// replacement state if touched one by one.
+/// replacement state if touched one by one. [`Cache`] walks the same
+/// lines in closed form (`first..=last` line key); the attributing and
+/// absint callers need each run's address and length, so they use this.
 pub fn line_runs(base: u64, words: u32, line: u32) -> impl Iterator<Item = (u64, u32)> {
-    let word = u64::from(oslay_model::WORD_BYTES);
+    debug_assert!(line.is_power_of_two(), "line size must be a power of two");
+    let word = u64::from(WORD_BYTES);
     let line = u64::from(line);
     let mut w = 0u32;
     std::iter::from_fn(move || {
@@ -446,7 +490,7 @@ pub fn line_runs(base: u64, words: u32, line: u32) -> impl Iterator<Item = (u64,
         // Words left in this cache line, rounding up: block layouts are
         // byte-granular, so a fetch base need not be word-aligned and a
         // partial trailing word still belongs to (and ends) this line.
-        let in_line = (line - (addr % line)).div_ceil(word) as u32;
+        let in_line = (line - (addr & (line - 1))).div_ceil(word) as u32;
         let run = in_line.min(words - w);
         w += run;
         Some((addr, run))
@@ -470,14 +514,28 @@ impl InstructionCache for Cache {
         self.access_detailed(addr, domain).outcome
     }
 
+    /// One tag probe per cache line the fetch touches, and nothing else on
+    /// a hit. Word `w` lies in line `(base + w·WORD_BYTES) >> line_shift`;
+    /// lines hold at least one word ([`CacheConfig::new`]), so the fetch
+    /// touches every key in `first..=last` exactly once, in order. The
+    /// clock advances once per line, as one [`Cache::access`] per line
+    /// run would; the fetch's `words - missed` hits are counted in one
+    /// step, since every word but a line's first is a guaranteed hit.
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+        if words == 0 {
+            return 0;
+        }
+        let first = base >> self.line_shift;
+        let last = (base + u64::from(words - 1) * u64::from(WORD_BYTES)) >> self.line_shift;
+        debug_assert_ne!(last, TAG_EMPTY, "address in the topmost line");
         let mut missed = 0u64;
-        for (addr, run) in line_runs(base, words, self.cfg.line()) {
-            if matches!(self.access(addr, domain), AccessOutcome::Miss(_)) {
+        for key in first..last + 1 {
+            if !self.touch_line(key) {
+                self.fill(key, domain);
                 missed += 1;
             }
-            self.record_run_hits(domain, u64::from(run) - 1);
         }
+        self.stats.record_hits(domain, u64::from(words) - missed);
         missed
     }
 
@@ -491,6 +549,7 @@ impl InstructionCache for Cache {
         self.evicted_by.clear();
         self.clock = 0;
         self.stats = MissStats::default();
+        self.evictions = [0; 2];
         if let Some(ages) = self.evict_ages.as_deref_mut() {
             ages.fill(0);
         }
@@ -697,18 +756,20 @@ mod tests {
     fn probe_sees_misses_evictions_and_occupancy() {
         use oslay_observe::MetricRegistry;
 
-        let reg = Arc::new(MetricRegistry::new());
-        let mut c = Cache::with_probe(CacheConfig::new(64, 16, 1), reg.clone());
+        let reg = MetricRegistry::new();
+        let mut c = Cache::new(CacheConfig::new(64, 16, 1));
         c.access(0, Domain::Os); // cold
         c.access(64, Domain::App); // cold; app evicts the OS line
         c.access(0, Domain::Os); // os-by-app; OS evicts the app line
-        c.access(0, Domain::Os); // hit: must not touch the probe
+        c.access(0, Domain::Os); // hit
+        c.report_into(&reg);
         assert_eq!(reg.counter("cache.miss.cold"), 2);
         assert_eq!(reg.counter("cache.miss.os-by-app"), 1);
         assert_eq!(reg.counter("cache.evict.by_app"), 1);
         assert_eq!(reg.counter("cache.evict.by_os"), 1);
+        // Zero counts create no counter.
+        assert_eq!(reg.counters().len(), 4);
 
-        c.record_occupancy();
         // 4 direct-mapped sets, exactly one holds a line.
         let occ = reg.histogram("cache.set_occupancy").expect("histogram");
         assert_eq!(occ.count(), 4);
@@ -796,34 +857,121 @@ mod tests {
         );
     }
 
+    /// `cache.*` counters tallied from per-access outcomes, in the shape
+    /// [`Cache::report_into`] posts them (zero counts omitted).
+    #[derive(Default)]
+    struct Tally {
+        misses: [u64; 5],
+        evictions: [u64; 2],
+    }
+
+    impl Tally {
+        fn add(&mut self, domain: Domain, detail: AccessDetail) {
+            if let AccessOutcome::Miss(kind) = detail.outcome {
+                self.misses[kind.index()] += 1;
+            }
+            if detail.evicted.is_some() {
+                self.evictions[domain.index()] += 1;
+            }
+        }
+
+        fn counters(&self) -> Vec<(String, u64)> {
+            let mut out: Vec<(String, u64)> = MissKind::ALL
+                .iter()
+                .map(|k| (k.metric_name().to_owned(), self.misses[k.index()]))
+                .chain([
+                    ("cache.evict.by_os".to_owned(), self.evictions[0]),
+                    ("cache.evict.by_app".to_owned(), self.evictions[1]),
+                ])
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            out.sort();
+            out
+        }
+    }
+
+    fn reported_counters(cache: &Cache) -> Vec<(String, u64)> {
+        let reg = oslay_observe::MetricRegistry::new();
+        cache.report_into(&reg);
+        reg.counters()
+    }
+
     #[test]
     fn access_words_matches_per_word_loop() {
         use oslay_model::rng::Rng;
-        for ways in [1u32, 2, 4] {
-            let cfg = CacheConfig::new(1024, 32, ways);
-            let mut coalesced = Cache::new(cfg);
-            let mut per_word = Cache::new(cfg);
-            let mut rng = Rng::seed_from_u64(0xC0A1 + u64::from(ways));
-            for _ in 0..5_000 {
-                // Random (possibly line-straddling) block fetch at a
-                // byte-granular, not necessarily word-aligned, base.
-                let base = u64::from(rng.gen_range(0..4800u32));
-                let words = 1 + rng.gen_range(0..24u32);
-                let domain = if rng.gen_range(0..2u32) == 0 {
-                    Domain::Os
-                } else {
-                    Domain::App
-                };
-                let fast = coalesced.access_words(base, words, domain);
-                let mut slow = 0u64;
-                for w in 0..words {
-                    let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
-                    if matches!(per_word.access(addr, domain), AccessOutcome::Miss(_)) {
-                        slow += 1;
-                    }
+        let word = u64::from(WORD_BYTES);
+        for line in [16u32, 32, 64] {
+            for ways in [1u32, 2, 4, 8] {
+                let cfg = CacheConfig::new(1024, line, ways);
+                let shift = cfg.line_shift();
+                // The closed-form walk under test.
+                let mut coalesced = Cache::new(cfg);
+                // Every word through `access_detailed`: the semantic
+                // reference for outcomes, stats, and counters.
+                let mut per_word = Cache::new(cfg);
+                // Word by word too, but a word in its predecessor's line
+                // is checked resident and most-recently-used, then
+                // counted as a hit without a clock tick: the clock
+                // contract (one tick per line) that eviction ages follow.
+                let mut per_line = Cache::new(cfg);
+                for c in [&mut coalesced, &mut per_word, &mut per_line] {
+                    c.set_telemetry(true);
                 }
-                assert_eq!(fast, slow);
-                assert_eq!(coalesced.stats(), per_word.stats());
+                let mut tally = Tally::default();
+                let mut rng = Rng::seed_from_u64(0xC0A1 + u64::from(ways) * 131 + u64::from(line));
+                for step in 0..5_000u32 {
+                    if step == 2_500 {
+                        assert_eq!(reported_counters(&coalesced), tally.counters());
+                        for c in [&mut coalesced, &mut per_word, &mut per_line] {
+                            c.reset();
+                        }
+                        tally = Tally::default();
+                    }
+                    // Random (possibly line-straddling) block fetch at a
+                    // byte-granular, not necessarily word-aligned, base.
+                    let base = u64::from(rng.gen_range(0..4800u32));
+                    let words = 1 + rng.gen_range(0..24u32);
+                    let domain = if rng.gen_range(0..2u32) == 0 {
+                        Domain::Os
+                    } else {
+                        Domain::App
+                    };
+                    let fast = coalesced.access_words(base, words, domain);
+                    let mut slow = 0u64;
+                    let mut prev_key = None;
+                    for w in 0..u64::from(words) {
+                        let addr = base + w * word;
+                        let detail = per_word.access_detailed(addr, domain);
+                        if detail.outcome.is_miss() {
+                            slow += 1;
+                        }
+                        tally.add(domain, detail);
+                        let key = addr >> shift;
+                        if prev_key == Some(key) {
+                            let way = per_line
+                                .tags
+                                .iter()
+                                .position(|&t| t == key)
+                                .expect("line resident");
+                            assert_eq!(per_line.lru[way], per_line.clock, "line is MRU");
+                            per_line.record_run_hits(domain, 1);
+                        } else {
+                            per_line.access_detailed(addr, domain);
+                        }
+                        prev_key = Some(key);
+                    }
+                    let at = format!("{cfg} step {step}");
+                    assert_eq!(fast, slow, "{at}");
+                    assert_eq!(coalesced.stats(), per_word.stats(), "{at}");
+                    assert_eq!(coalesced.stats(), per_line.stats(), "{at}");
+                    assert_eq!(
+                        coalesced.telemetry_snapshot(),
+                        per_line.telemetry_snapshot(),
+                        "{at}"
+                    );
+                }
+                assert_eq!(reported_counters(&coalesced), tally.counters(), "{cfg}");
+                assert_eq!(reported_counters(&coalesced), reported_counters(&per_word));
             }
         }
     }

@@ -226,6 +226,33 @@ diff <(grep -vE "$crossdet" "$tmpdir/single-pass_t1/results/fig15_cache_size_spe
      <(grep -vE "$crossdet" "$tmpdir/per-point_t1/results/fig15_cache_size_speedup.json")
 rm -rf "$tmpdir"
 
+echo "== sweep engine gate: fig17 (several banks, 8-way) across modes and workers =="
+# The same three diffs as the fig15 gate, on the grid that spans four line
+# sizes (four banks) and 1-8 ways (one level per set count, 8 deep).
+tmpdir="$(mktemp -d)"
+for mode in single-pass per-point; do
+  for t in 1 2; do
+    d="$tmpdir/${mode}_t$t"
+    mkdir -p "$d/results"
+    (
+      cd "$d"
+      cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+        -p oslay-bench --bin fig17_line_assoc -- \
+        --scale tiny --threads "$t" "--$mode" > stdout.txt 2> /dev/null
+    )
+  done
+done
+for v in single-pass_t2 per-point_t1 per-point_t2; do
+  diff "$tmpdir/single-pass_t1/stdout.txt" "$tmpdir/$v/stdout.txt"
+done
+for mode in single-pass per-point; do
+  diff <(grep -vE "$nondet" "$tmpdir/${mode}_t1/results/fig17_line_assoc.json") \
+       <(grep -vE "$nondet" "$tmpdir/${mode}_t2/results/fig17_line_assoc.json")
+done
+diff <(grep -vE "$crossdet" "$tmpdir/single-pass_t1/results/fig17_line_assoc.json") \
+     <(grep -vE "$crossdet" "$tmpdir/per-point_t1/results/fig17_line_assoc.json")
+rm -rf "$tmpdir"
+
 echo "== telemetry gate: inert probes, worker-invariant timeline, dash 0/1 =="
 tmpdir="$(mktemp -d)"
 repo_root="$PWD"

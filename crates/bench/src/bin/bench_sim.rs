@@ -22,7 +22,7 @@
 //! - `sweep_per_point` / `sweep_single_pass`: the committed design-space
 //!   grid (4 KB–256 KB at 1–8 ways on 32-byte lines, plus 64/128-byte
 //!   lines at 8 KB, under Base/C-H/OptS) replayed point by point vs
-//!   evaluated in one trace pass per workload (`oslay_cache::MultiSim`);
+//!   evaluated in one trace pass per (workload, layout) (`oslay_cache::MultiSim`);
 //!   their ratio is the `sweep_speedup` derived field, recorded at every
 //!   scale but smoke (a ~1k-block trace measures only setup overhead).
 //! - `search_score`: the layout-search inner loop in isolation — a
@@ -39,13 +39,15 @@
 //! The counting allocator is installed process-wide, so `allocs` /
 //! `peak_bytes` columns are real measurements, not estimates.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_bench::{
-    run_args_with, run_figure12_matrix, run_sweep_mode, scale_name, AppSide, SweepPoint,
+    apply_run_args, exit_usage, flag_int, flag_value, run_figure12_matrix, run_sweep_mode,
+    scale_name, try_parse_run_args, AppSide, SweepPoint,
 };
 use oslay_observe::MetricRegistry;
 use oslay_perf::alloc;
@@ -73,49 +75,29 @@ fn parse_args() -> Args {
     let mut gate = false;
     let mut gate_tolerance = 0.2;
     let mut gate_window = 10;
-    let common = run_args_with(StudyConfig::small(), |arg, rest| match arg {
-        "--out" => {
-            out = rest.pop_front().expect("--out needs a path").into();
-            true
+    let argv: VecDeque<String> = std::env::args().skip(1).collect();
+    let common = try_parse_run_args(argv, StudyConfig::small(), |arg, rest| {
+        match arg {
+            "--out" => out = flag_value(arg, rest)?.into(),
+            "--smoke" => smoke = true,
+            "--history" => history = Some(flag_value(arg, rest)?.into()),
+            "--no-history" => history = None,
+            "--gate" => gate = true,
+            "--gate-tolerance" => {
+                let v = flag_value(arg, rest)?;
+                gate_tolerance = v
+                    .parse()
+                    .ok()
+                    .filter(|t| *t > 0.0 && *t < 1.0)
+                    .ok_or_else(|| format!("{arg} must be a number in (0, 1), got {v:?}"))?;
+            }
+            "--gate-window" => gate_window = flag_int(arg, rest)?,
+            _ => return Ok(false),
         }
-        "--smoke" => {
-            smoke = true;
-            true
-        }
-        "--history" => {
-            history = Some(rest.pop_front().expect("--history needs a path").into());
-            true
-        }
-        "--no-history" => {
-            history = None;
-            true
-        }
-        "--gate" => {
-            gate = true;
-            true
-        }
-        "--gate-tolerance" => {
-            gate_tolerance = rest
-                .pop_front()
-                .expect("--gate-tolerance needs a value")
-                .parse()
-                .expect("--gate-tolerance must be a number in (0, 1)");
-            assert!(
-                gate_tolerance > 0.0 && gate_tolerance < 1.0,
-                "--gate-tolerance must be in (0, 1)"
-            );
-            true
-        }
-        "--gate-window" => {
-            gate_window = rest
-                .pop_front()
-                .expect("--gate-window needs a value")
-                .parse()
-                .expect("--gate-window must be an integer");
-            true
-        }
-        _ => false,
-    });
+        Ok(true)
+    })
+    .unwrap_or_else(|e| exit_usage(&e));
+    apply_run_args(&common);
     let mut args = Args {
         config: common.config,
         threads: common.threads,
@@ -177,14 +159,14 @@ fn run_matrix(study: &Study, sim: &SimConfig, threads: usize) -> u64 {
 
 /// The committed design-space grid: every (size, associativity) point in
 /// the 4 KB – 256 KB x 1–8 way plane at 32-byte lines — all 28 share one
-/// Mattson stack bank per trace — plus two longer line sizes at 8 KB
+/// bank of per-set-count LRU stacks per trace — plus two longer line sizes at 8 KB
 /// direct-mapped (one banked tag array each), each under Base, C-H and
 /// OptS, for every workload. This is the plane the figure sweeps draw
 /// from (fig15 spans the sizes, fig17 the lines and ways) and the shape
 /// the single-pass engine exists for: 90 per-point trace replays
 /// collapse to 3 (one per OS layout), and widening the plane with
-/// rarely-missing large configurations costs the stack walk almost
-/// nothing while the per-point baseline pays one full replay each.
+/// rarely-missing large configurations costs the level walk little
+/// while the per-point baseline pays one full replay each.
 fn sweep_grid(study: &Study) -> Vec<SweepPoint> {
     let kinds = [
         OsLayoutKind::Base,

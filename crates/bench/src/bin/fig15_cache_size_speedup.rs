@@ -9,7 +9,8 @@
 //! penalty the speedups are in the 10–25% range, peaking at 8 KB.
 //!
 //! Extra flags: `--single-pass` (default) evaluates the whole grid in one
-//! trace pass per workload; `--per-point` replays each point separately.
+//! trace pass per (workload, layout pair); `--per-point` replays each
+//! point separately.
 //! Output is byte-identical either way.
 
 use std::sync::Arc;

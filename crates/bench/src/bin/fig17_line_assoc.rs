@@ -10,19 +10,24 @@
 //! direct-mapped OptS still beats 8-way Base.
 //!
 //! Extra flags: `--single-pass` (default) evaluates each sweep's grid in
-//! one trace pass per workload — sub-figure (a) spans four line sizes
-//! (four banked tag arrays side by side), sub-figure (b) four
-//! associativities sharing one stack per layout; `--per-point` replays
+//! one trace pass per (workload, layout) — sub-figure (a) spans four line
+//! sizes (four banked tag arrays side by side), sub-figure (b) four
+//! associativities on one level of per-set stacks; `--per-point` replays
 //! each point separately. Output is byte-identical either way.
+//!
+//! Writes `results/fig17_line_assoc.json` (both sweeps' cache metrics and
+//! one section of miss rates per row) without printing its path, so the
+//! text output keeps the shape of the committed capture.
 
 use std::sync::Arc;
 
 use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, SweepPoint};
+use oslay_bench::{
+    banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, Reporter, SweepPoint,
+};
 use oslay_layout::Layout;
-use oslay_observe::MetricRegistry;
 
 const KINDS: [OsLayoutKind; 3] = [
     OsLayoutKind::Base,
@@ -30,7 +35,14 @@ const KINDS: [OsLayoutKind; 3] = [
     OsLayoutKind::OptS,
 ];
 
-fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize, single_pass: bool) {
+fn sweep(
+    study: &Study,
+    configs: &[(String, CacheConfig)],
+    threads: usize,
+    single_pass: bool,
+    reporter: &mut Reporter,
+    figure: &str,
+) {
     // Every config here keeps the same 8 KB capacity, so one memoized
     // layout per kind serves the whole grid.
     let layouts: Vec<Arc<Layout>> = KINDS
@@ -50,13 +62,12 @@ fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize, singl
             }
         }
     }
-    let registry = Arc::new(MetricRegistry::new());
     let results = run_sweep_mode(
         study,
         points,
         &SimConfig::fast(),
         threads,
-        &registry,
+        &reporter.registry(),
         single_pass,
     );
 
@@ -68,6 +79,10 @@ fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize, singl
             let b = rate();
             let ch = rate();
             let o = rate();
+            reporter.add_section(
+                &format!("{figure}.{}.{label}", case.name()),
+                [("Base", b), ("C-H", ch), ("OptS", o)],
+            );
             table.row([
                 format!("{} {label}", case.name()),
                 pct(b),
@@ -90,6 +105,7 @@ fn main() {
         "Figure 17: line-size and associativity sweeps (8KB)",
         &config,
     );
+    let mut reporter = Reporter::new("fig17_line_assoc");
     let study = Study::generate_with_threads(&config, args.threads);
 
     println!("(a) Line size (direct-mapped):");
@@ -97,7 +113,14 @@ fn main() {
         .iter()
         .map(|&l| (format!("{l}B-line"), CacheConfig::new(8192, l, 1)))
         .collect();
-    sweep(&study, &lines, args.threads, single_pass);
+    sweep(
+        &study,
+        &lines,
+        args.threads,
+        single_pass,
+        &mut reporter,
+        "fig17a",
+    );
     println!();
 
     println!("(b) Associativity (32B lines):");
@@ -105,6 +128,14 @@ fn main() {
         .iter()
         .map(|&w| (format!("{w}-way"), CacheConfig::new(8192, 32, w)))
         .collect();
-    sweep(&study, &ways, args.threads, single_pass);
+    sweep(
+        &study,
+        &ways,
+        args.threads,
+        single_pass,
+        &mut reporter,
+        "fig17b",
+    );
+    let _report = reporter.finish();
     oslay_bench::flush_trace();
 }

@@ -23,25 +23,17 @@
 //!
 //! Output is byte-identical at any `--threads N`.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 
 use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_bench::{
-    banner, run_args_with, run_attributed_matrix, run_attributed_row, run_layout_search, Reporter,
+    apply_run_args, banner, exit_usage, flag_int, flag_value, run_attributed_matrix,
+    run_attributed_row, run_layout_search, try_parse_run_args, Reporter,
 };
 use oslay_search::{ObjectiveWeights, SearchParams};
-
-fn numeric<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-    let v = v.unwrap_or_else(|| panic!("{flag} needs a value\n{}", oslay_bench::usage_text()));
-    v.parse().unwrap_or_else(|_| {
-        panic!(
-            "{flag} must be an integer, got {v:?}\n{}",
-            oslay_bench::usage_text()
-        )
-    })
-}
 
 fn main() {
     let mut budget: u64 = 100_000;
@@ -49,38 +41,21 @@ fn main() {
     let mut weights = ObjectiveWeights::default();
     let mut w_absint: u64 = 0;
     let mut layout_out: Option<PathBuf> = None;
-    let args = run_args_with(StudyConfig::small(), |arg, rest| match arg {
-        "--budget" => {
-            budget = numeric(arg, rest.pop_front());
-            true
+    let argv: VecDeque<String> = std::env::args().skip(1).collect();
+    let args = try_parse_run_args(argv, StudyConfig::small(), |arg, rest| {
+        match arg {
+            "--budget" => budget = flag_int(arg, rest)?,
+            "--restarts" => restarts = flag_int(arg, rest)?,
+            "--w-conflict" => weights.conflict = flag_int(arg, rest)?,
+            "--w-distance" => weights.distance = flag_int(arg, rest)?,
+            "--w-absint" => w_absint = flag_int(arg, rest)?,
+            "--layout-out" => layout_out = Some(flag_value(arg, rest)?.into()),
+            _ => return Ok(false),
         }
-        "--restarts" => {
-            restarts = numeric(arg, rest.pop_front());
-            true
-        }
-        "--w-conflict" => {
-            weights.conflict = numeric(arg, rest.pop_front());
-            true
-        }
-        "--w-distance" => {
-            weights.distance = numeric(arg, rest.pop_front());
-            true
-        }
-        "--w-absint" => {
-            w_absint = numeric(arg, rest.pop_front());
-            true
-        }
-        "--layout-out" => {
-            layout_out = rest.pop_front().map(PathBuf::from);
-            assert!(
-                layout_out.is_some(),
-                "--layout-out needs a file path\n{}",
-                oslay_bench::usage_text()
-            );
-            true
-        }
-        _ => false,
-    });
+        Ok(true)
+    })
+    .unwrap_or_else(|e| exit_usage(&e));
+    apply_run_args(&args);
     let config = args.config;
     banner(
         "Layout search: metaheuristic vs the hand-derived layouts",

@@ -26,8 +26,7 @@ use oslay::cache::{
     AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig, InstructionCache,
 };
 use oslay::{
-    MultiGroupReplayer, MultiLane, OsLayout, OsLayoutKind, SimConfig, SimResult, Study,
-    StudyConfig, WorkloadCase,
+    MultiReplayer, OsLayout, OsLayoutKind, SimConfig, SimResult, Study, StudyConfig, WorkloadCase,
 };
 use oslay_layout::Layout;
 use oslay_model::synth::Scale;
@@ -604,25 +603,25 @@ fn memoized_app_layouts(study: &Study, points: &[SweepPoint]) -> Vec<Option<Arc<
         .collect()
 }
 
-/// Evaluates every sweep point in **one trace pass per workload case**
+/// Evaluates every sweep point in **one trace pass per layout pair**
 /// instead of one replay per point, returning exactly what [`run_sweep`]
 /// would: the same results and the same final registry state (hence
 /// byte-identical run-report metrics) at any worker count.
 ///
-/// Points are partitioned by case in first-appearance order; each case
-/// job walks the trace once ([`Study::stream_case`]) and feeds every
-/// distinct layout pair's [`MultiLane`], whose
-/// [`oslay::cache::MultiSim`] settles all cache organizations of that
-/// pair simultaneously — stack inclusion across sizes/associativities
-/// sharing a line size, banked tag arrays across line sizes. Each grid
-/// point's cache events are then mirrored into a private registry shard
-/// and the shards fold into `registry` in global point order, the same
-/// merge contract as [`run_sweep`].
+/// Points are partitioned into lanes: the points of one workload case
+/// sharing an (OS layout, app layout) pair, in first-appearance order.
+/// Each lane is one job that walks the case's buffered trace once through
+/// a [`MultiReplayer`], whose [`oslay::cache::MultiSim`] settles all cache
+/// organizations of that pair simultaneously — per-set-count LRU stacks
+/// across sizes/associativities sharing a line size, banked tag arrays
+/// across line sizes. Each grid point's cache events are then mirrored
+/// into a private registry shard and the shards fold into `registry` in
+/// global point order, the same merge contract as [`run_sweep`].
 ///
 /// Only aggregate statistics can be collected this way: a [`SimConfig`]
 /// requesting miss maps or per-block counts falls back to [`run_sweep`]
 /// (no committed sweep grid requests either). The timeline stream
-/// differs from per-point mode — one recorded run per case rather than
+/// differs from per-point mode — one recorded run per lane rather than
 /// per point — but is itself worker-count-invariant.
 #[must_use]
 pub fn run_sweep_single_pass(
@@ -637,53 +636,39 @@ pub fn run_sweep_single_pass(
     }
     let apps = memoized_app_layouts(study, &points);
 
-    /// One distinct layout pair within a case: the cache organizations
-    /// to evaluate under it and, per organization, the global grid index
-    /// its result belongs to.
-    struct LaneSpec {
+    /// One lane: a workload case under one layout pair, the cache
+    /// organizations to evaluate under it and, per organization, the
+    /// global grid index its result belongs to.
+    struct Lane {
+        case: usize,
         os: Arc<Layout>,
         app: Option<Arc<Layout>>,
         configs: Vec<CacheConfig>,
         origin: Vec<usize>,
     }
-    struct CaseJob {
-        case: usize,
-        lanes: Vec<LaneSpec>,
-    }
-    let mut jobs: Vec<CaseJob> = Vec::new();
+    let mut lanes: Vec<Lane> = Vec::new();
     for (gi, (p, app)) in points.iter().zip(&apps).enumerate() {
-        let job = match jobs.iter_mut().find(|j| j.case == p.case) {
-            Some(j) => j,
-            None => {
-                jobs.push(CaseJob {
-                    case: p.case,
-                    lanes: Vec::new(),
-                });
-                jobs.last_mut().expect("just pushed")
-            }
-        };
-        // Lane identity: same OS layout (pointer fast path, then
-        // content) and same memoized app layout (pointer equality is
+        // Lane identity: same case, same OS layout (pointer fast path,
+        // then content) and same memoized app layout (pointer equality is
         // exact: `memoized_app_layouts` shares one Arc per key).
-        let same_app = |l: &LaneSpec| match (&l.app, app) {
+        let same_app = |l: &Lane| match (&l.app, app) {
             (None, None) => true,
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
-        let lane = match job
-            .lanes
-            .iter_mut()
-            .find(|l| (Arc::ptr_eq(&l.os, &p.os) || l.os == p.os) && same_app(l))
-        {
+        let lane = match lanes.iter_mut().find(|l| {
+            l.case == p.case && (Arc::ptr_eq(&l.os, &p.os) || l.os == p.os) && same_app(l)
+        }) {
             Some(l) => l,
             None => {
-                job.lanes.push(LaneSpec {
+                lanes.push(Lane {
+                    case: p.case,
                     os: Arc::clone(&p.os),
                     app: app.clone(),
                     configs: Vec::new(),
                     origin: Vec::new(),
                 });
-                job.lanes.last_mut().expect("just pushed")
+                lanes.last_mut().expect("just pushed")
             }
         };
         lane.configs.push(p.cache);
@@ -691,48 +676,40 @@ pub fn run_sweep_single_pass(
     }
 
     let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, job| {
-        let case = &study.cases()[job.case];
+    let sharded = oslay::exec::parallel_map(threads, lanes, |i, lane| {
+        let case = &study.cases()[lane.case];
         let _t = timeline::scope(group, i as u64, format!("{}@multi", case.name()));
-        let lanes: Vec<MultiLane> = job
-            .lanes
-            .iter()
-            .map(|l| MultiLane::new(Arc::clone(&l.os), l.app.clone(), &l.configs))
-            .collect();
-        let mut replayer = MultiGroupReplayer::new(lanes);
+        let mut replayer = MultiReplayer::new(&lane.os, lane.app.as_deref(), &lane.configs);
         {
             // Feed the buffered trace — the same event source the
             // per-point `Study::simulate` path iterates — rather than
-            // re-running the engine walk per case.
+            // re-running the engine walk per lane.
             use oslay::trace::TraceSink as _;
             let _span = oslay_observe::span("study.sim");
             for event in case.trace.events() {
                 replayer.event(*event);
             }
         }
-        let lanes = replayer.finish();
-        // One (result, registry shard) per grid point of this case,
+        let multi = replayer.finish();
+        // One (result, registry shard) per grid point of this lane,
         // tagged with its global index for the ordered fold below.
-        let mut settled = Vec::new();
-        for (lane, spec) in lanes.iter().zip(&job.lanes) {
-            for (k, &gi) in spec.origin.iter().enumerate() {
+        lane.origin
+            .iter()
+            .enumerate()
+            .map(|(k, &gi)| {
                 let shard = Arc::new(MetricRegistry::new());
-                lane.sim().report_into(k, shard.as_ref());
-                settled.push((
-                    gi,
-                    SimResult {
-                        stats: lane.sim().stats(k),
-                        os_miss_map: None,
-                        os_self_miss_map: None,
-                        os_cross_miss_map: None,
-                        os_block_misses: None,
-                        app_block_misses: None,
-                    },
-                    shard,
-                ));
-            }
-        }
-        settled
+                multi.report_into(k, shard.as_ref());
+                let result = SimResult {
+                    stats: multi.stats(k),
+                    os_miss_map: None,
+                    os_self_miss_map: None,
+                    os_cross_miss_map: None,
+                    os_block_misses: None,
+                    app_block_misses: None,
+                };
+                (gi, result, shard)
+            })
+            .collect::<Vec<_>>()
     });
 
     let n = apps.len();
@@ -742,7 +719,7 @@ pub fn run_sweep_single_pass(
     }
     let mut out = Vec::with_capacity(n);
     for slot in slots {
-        let (r, shard) = slot.expect("every grid point settled by its case job");
+        let (r, shard) = slot.expect("every grid point settled by its lane job");
         registry.merge_from(&shard);
         out.push(r);
     }

@@ -8,6 +8,8 @@ const ANALYZE: &str = env!("CARGO_BIN_EXE_analyze");
 const LINT: &str = env!("CARGO_BIN_EXE_lint");
 const TRACE: &str = env!("CARGO_BIN_EXE_trace");
 const FIG12: &str = env!("CARGO_BIN_EXE_fig12_optimization_levels");
+const SEARCH: &str = env!("CARGO_BIN_EXE_search");
+const BENCH_SIM: &str = env!("CARGO_BIN_EXE_bench_sim");
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -123,6 +125,48 @@ fn bad_invocations_are_usage_errors() {
             "--threads must be >= 1",
         ),
         (FIG12, &["--seed", "x"], "--seed must be an integer"),
+        (SEARCH, &["--budget", "x"], "--budget must be an integer"),
+        (SEARCH, &["--budget"], "--budget needs a value"),
+        (
+            SEARCH,
+            &["--restarts", "-1"],
+            "--restarts must be an integer",
+        ),
+        (
+            SEARCH,
+            &["--w-conflict", "0.5"],
+            "--w-conflict must be an integer",
+        ),
+        (
+            SEARCH,
+            &["--w-distance", "far"],
+            "--w-distance must be an integer",
+        ),
+        (SEARCH, &["--w-absint"], "--w-absint needs a value"),
+        (SEARCH, &["--layout-out"], "--layout-out needs a value"),
+        (
+            BENCH_SIM,
+            &["--gate-tolerance", "x"],
+            "--gate-tolerance must be a number in (0, 1)",
+        ),
+        (
+            BENCH_SIM,
+            &["--gate-tolerance", "1.5"],
+            "--gate-tolerance must be a number in (0, 1)",
+        ),
+        (
+            BENCH_SIM,
+            &["--gate-tolerance"],
+            "--gate-tolerance needs a value",
+        ),
+        (
+            BENCH_SIM,
+            &["--gate-window", "ten"],
+            "--gate-window must be an integer",
+        ),
+        (BENCH_SIM, &["--gate-window"], "--gate-window needs a value"),
+        (BENCH_SIM, &["--out"], "--out needs a value"),
+        (BENCH_SIM, &["--history"], "--history needs a value"),
     ];
     for &(bin, args, message) in cases {
         let out = run(bin, args);

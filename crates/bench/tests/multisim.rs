@@ -169,6 +169,51 @@ fn fig17_grids_single_pass_matches_per_point() {
     assert_modes_agree(&study, &|| fig17_grid(&study, &ways), "fig17b");
 }
 
+/// The design-space grid the benchmark sweeps: 4–256 KB × 1/2/4/8 ways
+/// at 32-byte lines plus 16/64/128-byte lines at 8 KB, three OS layouts
+/// built per size. Base and C-H do not depend on the size, so each
+/// collapses into one wide lane spanning many set counts (one level per
+/// set count, 8-way deep); OptS gives one narrow lane per size.
+fn design_grid(study: &Study) -> Vec<SweepPoint> {
+    let sizes = [4096u32, 8192, 16384, 32768, 65536, 131_072, 262_144];
+    let mut points = Vec::new();
+    for &size in &sizes {
+        let layouts: Vec<Arc<Layout>> = KINDS
+            .iter()
+            .map(|&kind| Arc::new(study.os_layout(kind, size).layout))
+            .collect();
+        let mut configs: Vec<CacheConfig> = [1u32, 2, 4, 8]
+            .iter()
+            .map(|&w| CacheConfig::new(size, 32, w))
+            .collect();
+        if size == 8192 {
+            configs.extend([16u32, 64, 128].map(|line| CacheConfig::new(size, line, 1)));
+        }
+        for wi in 0..study.cases().len() {
+            for &cfg in &configs {
+                for os in &layouts {
+                    points.push(SweepPoint {
+                        case: wi,
+                        os: Arc::clone(os),
+                        app: AppSide::Base,
+                        cache: cfg,
+                    });
+                }
+            }
+        }
+    }
+    points
+}
+
+#[test]
+fn design_grid_single_pass_matches_per_point() {
+    for config in [StudyConfig::tiny(), StudyConfig::tiny().with_seed(0xD51)] {
+        let study = Study::generate(&config);
+        let what = format!("design grid, study seed {:#x}", config.seed);
+        assert_modes_agree(&study, &|| design_grid(&study), &what);
+    }
+}
+
 #[test]
 fn detailed_sim_config_falls_back_to_per_point() {
     // A config requesting miss maps cannot be settled in one pass;

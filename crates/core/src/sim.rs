@@ -1,7 +1,5 @@
 //! Trace replay through a cache under a pair of layouts.
 
-use std::sync::Arc;
-
 use oslay_analysis::missmap::AddressHistogram;
 use oslay_cache::{CacheConfig, InstructionCache, MissStats, MultiSim};
 use oslay_layout::Layout;
@@ -315,64 +313,12 @@ impl oslay_trace::TraceSink for FanoutSink<'_> {
     }
 }
 
-/// One layout pair within a [`MultiGroupReplayer`]: a multi-configuration
-/// simulator ([`MultiSim`]) fed through this pair's address mapping.
-///
-/// Points sharing a trace but differing in OS or app layout cannot share
-/// a [`MultiSim`] (their address streams differ), so each distinct layout
-/// pair gets a lane and all lanes ride the same trace walk.
-#[derive(Clone, Debug)]
-pub struct MultiLane {
-    os_layout: Arc<Layout>,
-    app_layout: Option<Arc<Layout>>,
-    sim: MultiSim,
-}
-
-impl MultiLane {
-    /// Creates a lane simulating every configuration in `configs` under
-    /// the given layout pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty.
-    #[must_use]
-    pub fn new(
-        os_layout: Arc<Layout>,
-        app_layout: Option<Arc<Layout>>,
-        configs: &[CacheConfig],
-    ) -> Self {
-        Self {
-            os_layout,
-            app_layout,
-            sim: MultiSim::new(configs),
-        }
-    }
-
-    /// The OS layout this lane maps OS blocks through.
-    #[must_use]
-    pub fn os_layout(&self) -> &Arc<Layout> {
-        &self.os_layout
-    }
-
-    /// The app layout this lane maps app blocks through, if any.
-    #[must_use]
-    pub fn app_layout(&self) -> Option<&Arc<Layout>> {
-        self.app_layout.as_ref()
-    }
-
-    /// The lane's simulator, for per-point results after the replay.
-    #[must_use]
-    pub fn sim(&self) -> &MultiSim {
-        &self.sim
-    }
-}
-
-/// Timeline sample for a lane group. There is no single "the cache" here;
-/// by convention the first configured point of the first lane represents
-/// the group (the committed sweep grids list the baseline point first),
-/// and no probe sample is attached.
-fn multi_snapshot(lanes: &[MultiLane]) -> CacheSnapshot {
-    let stats = lanes[0].sim.stats(0);
+/// Timeline sample for a [`MultiReplayer`]. There is no single "the
+/// cache" here; by convention the first configured point represents the
+/// run (the committed sweep grids list the baseline point first), and no
+/// probe sample is attached.
+fn multi_snapshot(sim: &MultiSim) -> CacheSnapshot {
+    let stats = sim.stats(0);
     CacheSnapshot {
         accesses: stats.total_accesses(),
         os_accesses: stats.accesses(Domain::Os),
@@ -382,84 +328,87 @@ fn multi_snapshot(lanes: &[MultiLane]) -> CacheSnapshot {
     }
 }
 
-/// A streaming trace consumer that drives a whole sweep group — several
-/// layout-pair lanes, each simulating many cache configurations — through
-/// one walk of the trace.
+/// A streaming trace consumer that drives one layout pair through a
+/// [`MultiSim`], settling many cache configurations in one walk of the
+/// trace.
 ///
 /// The single-pass counterpart of [`Replayer`]: where that maps each
-/// event to one fetch against one cache, this maps it through every
-/// lane's layouts into that lane's [`MultiSim`]. Only aggregate
-/// statistics are collected (the equivalent of [`SimConfig::fast`]);
-/// sweeps needing miss maps or per-block counts replay per point.
-///
-/// # Panics
-///
-/// [`oslay_trace::TraceSink::event`] panics if an app block arrives on a
-/// lane without an app layout.
-pub struct MultiGroupReplayer {
-    lanes: Vec<MultiLane>,
+/// event to one fetch against one cache, this maps it through the same
+/// layouts into a simulator of every configuration at once. Only
+/// aggregate statistics are collected (the equivalent of
+/// [`SimConfig::fast`]); sweeps needing miss maps or per-block counts
+/// replay per point.
+pub struct MultiReplayer<'a> {
+    os_layout: &'a Layout,
+    app_layout: Option<&'a Layout>,
+    sim: MultiSim,
     /// Timeline recorder, present only when the timeline is enabled and
     /// this thread is inside a recording scope (same contract as
-    /// [`Replayer`]); samples carry no per-cache probe data.
+    /// [`Replayer`]); samples come from [`multi_snapshot`].
     telemetry: Option<Box<WindowRecorder>>,
 }
 
-impl std::fmt::Debug for MultiGroupReplayer {
+impl std::fmt::Debug for MultiReplayer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiGroupReplayer")
-            .field("lanes", &self.lanes.len())
+        f.debug_struct("MultiReplayer")
+            .field("os_layout", &self.os_layout.name())
+            .field("points", &self.sim.num_points())
             .finish_non_exhaustive()
     }
 }
 
-impl MultiGroupReplayer {
-    /// Creates a replayer over the given lanes.
+impl<'a> MultiReplayer<'a> {
+    /// Creates a replayer simulating every configuration in `configs`
+    /// under the given layout pair.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is empty.
+    /// Panics if `configs` is empty.
     #[must_use]
-    pub fn new(lanes: Vec<MultiLane>) -> Self {
-        assert!(!lanes.is_empty(), "a sweep group needs at least one lane");
+    pub fn new(
+        os_layout: &'a Layout,
+        app_layout: Option<&'a Layout>,
+        configs: &[CacheConfig],
+    ) -> Self {
         Self {
-            lanes,
+            os_layout,
+            app_layout,
+            sim: MultiSim::new(configs),
             telemetry: timeline::recorder().map(Box::new),
         }
     }
 
-    /// Finishes the replay and hands the lanes (with their accumulated
+    /// Finishes the replay and hands the simulator (with its accumulated
     /// per-point results) back. Closes the timeline run if one was
     /// recording.
     #[must_use]
-    pub fn finish(mut self) -> Vec<MultiLane> {
+    pub fn finish(mut self) -> MultiSim {
         if let Some(tl) = self.telemetry.take() {
-            tl.finish(&multi_snapshot(&self.lanes));
+            tl.finish(&multi_snapshot(&self.sim));
         }
-        self.lanes
+        self.sim
     }
 }
 
-impl oslay_trace::TraceSink for MultiGroupReplayer {
+impl oslay_trace::TraceSink for MultiReplayer<'_> {
+    /// # Panics
+    ///
+    /// Panics if an app block arrives but no app layout was supplied.
     fn event(&mut self, event: TraceEvent) {
         if let TraceEvent::Block { id, domain } = event {
-            for lane in &mut self.lanes {
-                let layout = match domain {
-                    Domain::Os => &lane.os_layout,
-                    Domain::App => lane
-                        .app_layout
-                        .as_ref()
-                        .expect("app block but no app layout"),
-                };
-                lane.sim
-                    .access_words(layout.addr(id), layout.fetch_words(id), domain);
-            }
+            let layout = match domain {
+                Domain::Os => self.os_layout,
+                Domain::App => self.app_layout.expect("app block but no app layout"),
+            };
+            self.sim
+                .access_words(layout.addr(id), layout.fetch_words(id), domain);
         }
-        // Boundary and marker events fetch nothing (and a sweep group has
-        // no diagnostic hooks), but they still advance the timeline so
+        // Boundary and marker events fetch nothing (and a sweep has no
+        // diagnostic hooks), but they still advance the timeline so
         // window boundaries line up with the per-point replays.
         if let Some(tl) = self.telemetry.as_deref_mut() {
             if tl.tick() {
-                tl.sample(&multi_snapshot(&self.lanes));
+                tl.sample(&multi_snapshot(&self.sim));
             }
         }
     }

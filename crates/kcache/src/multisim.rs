@@ -7,29 +7,28 @@
 //! bounded eviction-provenance table's cap behavior), the same eviction
 //! counts and the same final set-occupancy snapshot.
 //!
-//! Two mechanisms make one pass suffice:
+//! Three mechanisms make one pass suffice:
 //!
-//! * **Stack inclusion (Mattson).** All configurations sharing a line
-//!   size are served by one bank of per-set LRU recency stacks. Under
-//!   true-LRU, the residents of an `A`-way set are exactly the `A` most
-//!   recently used lines mapping to it, and set index masks nest:
-//!   configurations with more sets split each stack's coarse set into
-//!   finer ones selected by low key bits. One walk down the stack
-//!   therefore yields, for every `(sets, ways)` point at once, the hit /
-//!   miss outcome (stack distance within the point's set vs. its
-//!   associativity) and the evicted line on a miss (the point's LRU
-//!   resident, i.e. the `A`-th same-set entry from the top).
+//! * **Per-set-count levels.** Configurations sharing a line size and a
+//!   set count form one *level* with one true-LRU recency stack per set,
+//!   truncated at the level's largest associativity. The residents of an
+//!   `A`-way set are exactly its `A` most recently used lines, so one
+//!   search of the key's stack settles every `(sets, ways)` point of the
+//!   level at once: a hit iff the key sits at depth `< A`, and on a miss
+//!   the evicted line is the entry at depth `A - 1` when the set holds at
+//!   least `A` lines. A line pushed below the truncation depth is
+//!   resident in no point of the level, so it is simply dropped.
+//! * **MRU early exit.** Set index masks nest: a level with more sets
+//!   splits each set of a coarser one. Levels are walked coarse to fine
+//!   and the walk stops at the first level where the key is already most
+//!   recently used, because a line that is MRU in a set is MRU in every
+//!   finer set containing it — a hit for every remaining point that
+//!   moves nothing.
 //! * **Banked tag arrays.** Configurations with different line sizes
-//!   cannot share a stack (their keys differ), so each line size gets
-//!   its own bank and the banks run side by side on the same stream,
-//!   each coalescing sequential fetches into line runs at its own line
-//!   size.
-//!
-//! Stacks are bounded: a coarse set's stack only needs the union of every
-//! configuration's residents — `sum(A_c * sets_c / coarse_sets)` entries —
-//! plus one slot of slack. Entries below every configuration's residency
-//! depth are dead (no future access outcome can depend on them, see
-//! [`Bank::prune`]) and are discarded lazily when a stack overflows.
+//!   cannot share a stack (their keys differ), so each line size gets its
+//!   own bank of levels and the banks run side by side on the same
+//!   stream, each coalescing sequential fetches into line runs at its own
+//!   line size.
 
 use oslay_model::Domain;
 use oslay_observe::Probe;
@@ -37,23 +36,19 @@ use oslay_observe::Probe;
 use crate::sim::{post_cache_metrics, EvictTable};
 use crate::{CacheConfig, MissKind, MissStats};
 
-/// Sentinel for "no eviction recorded for this point in this access".
-/// Line keys are `addr >> line_shift`; a real key collides with the
-/// sentinel only for the topmost line of the address space, which layouts
-/// never produce (the dense cache debug-asserts the same).
-const NO_VICTIM: u64 = u64::MAX;
+/// Marks an unused stack slot. Line keys are `addr >> line_shift`; a
+/// real key collides with the sentinel only for the topmost line of the
+/// address space, which layouts never produce (the dense cache
+/// debug-asserts the same).
+const EMPTY: u64 = u64::MAX;
 
 /// Per-configuration simulation state: everything a dedicated
 /// [`crate::Cache`] would have accumulated, minus what is shared across
-/// the group (word counts) or derivable from the bank stack (occupancy).
+/// the group (word counts) or derivable from the level's stacks
+/// (occupancy).
 #[derive(Clone, Debug)]
 struct PointState {
     cfg: CacheConfig,
-    /// `num_sets - 1` for this point.
-    set_mask: u64,
-    ways: u32,
-    /// Index of this point's set-bit count in the bank's `svals`.
-    si: usize,
     /// Mirrors the dense cache's bounded provenance table bit for bit:
     /// same per-set capacity, same round-robin drop, same record-then-
     /// classify order, so classification degrades identically under cap
@@ -67,130 +62,187 @@ struct PointState {
     evict_by_domain: [u64; 2],
 }
 
-/// One bank: every configuration sharing a line size, on per-coarse-set
-/// LRU recency stacks.
+impl PointState {
+    fn new(cfg: &CacheConfig) -> Self {
+        Self {
+            cfg: *cfg,
+            evict: EvictTable::new(cfg.num_sets() as usize, EvictTable::DEFAULT_CAP),
+            misses_by_kind: [0; 5],
+            cold_by_domain: [0; 2],
+            evict_by_domain: [0; 2],
+        }
+    }
+
+    /// Replicates the dense miss path: record the eviction (if the set
+    /// was full) first, then classify against the provenance table —
+    /// the order matters under its cap.
+    fn miss(&mut self, set: u32, key: u64, victim: Option<u64>, domain: Domain) {
+        if let Some(victim) = victim {
+            self.evict.record(set, victim, domain);
+            self.evict_by_domain[domain.index()] += 1;
+        }
+        let kind = MissKind::classify(domain, self.evict.lookup(set, key));
+        self.misses_by_kind[kind.index()] += 1;
+        if kind == MissKind::Cold {
+            self.cold_by_domain[domain.index()] += 1;
+        }
+    }
+}
+
+/// Every configuration of a bank sharing one set count, on per-set LRU
+/// recency stacks truncated at the largest associativity among them.
+#[derive(Clone, Debug)]
+struct Level {
+    /// `num_sets - 1`: `key & set_mask` selects the stack.
+    set_mask: u64,
+    /// Stack slots per set: the level's largest associativity.
+    depth: usize,
+    /// Live entries per set, at most `depth` (`u32`, like `ways`).
+    lens: Vec<u32>,
+    /// Stack entries (line keys), set-major, `depth` slots per set, most
+    /// recent first. Unused slots hold [`EMPTY`], which never equals a
+    /// key, so the MRU test reads one slot and no length.
+    entries: Vec<u64>,
+    /// The level's points, associativity strictly ascending (within a
+    /// bank, `(sets, ways)` determines the configuration).
+    points: Vec<PointState>,
+}
+
+impl Level {
+    /// Builds a level from configurations sharing one set count, sorted
+    /// by strictly ascending associativity.
+    fn new(cfgs: &[CacheConfig]) -> Self {
+        let sets = cfgs[0].num_sets() as usize;
+        let depth = cfgs[cfgs.len() - 1].ways() as usize;
+        Self {
+            set_mask: cfgs[0].set_mask(),
+            depth,
+            lens: vec![0; sets],
+            entries: vec![EMPTY; sets * depth],
+            points: cfgs.iter().map(PointState::new).collect(),
+        }
+    }
+
+    /// One line access: settles every point of the level, then hoists
+    /// `key` to the top of its set's stack. Returns `false`, touching
+    /// nothing, when `key` already tops the stack — a hit for every
+    /// point here and at every finer level.
+    fn access(&mut self, key: u64, domain: Domain) -> bool {
+        let set = (key & self.set_mask) as usize;
+        let stack = &mut self.entries[set * self.depth..(set + 1) * self.depth];
+        if stack[0] == key {
+            return false;
+        }
+        let len = self.lens[set] as usize;
+        let pos = stack[..len].iter().position(|&e| e == key);
+        // Points are in ascending ways: the first one holding the key
+        // (stack distance < ways) ends the misses. A point whose set
+        // holds at least `ways` lines evicts its LRU resident, at depth
+        // `ways - 1`.
+        let dist = pos.unwrap_or(usize::MAX);
+        for point in &mut self.points {
+            let ways = point.cfg.ways() as usize;
+            if dist < ways {
+                break;
+            }
+            let victim = (len >= ways).then(|| stack[ways - 1]);
+            point.miss(set as u32, key, victim, domain);
+        }
+        match pos {
+            Some(p) => stack.copy_within(..p, 1),
+            None => {
+                // A full stack drops its bottom entry, which is resident
+                // in no point of the level.
+                let kept = len.min(self.depth - 1);
+                stack.copy_within(..kept, 1);
+                self.lens[set] = (kept + 1) as u32;
+            }
+        }
+        stack[0] = key;
+        true
+    }
+
+    /// Final per-set occupancy of one point: a set holds `min(len, ways)`
+    /// valid lines.
+    fn occupancy(&self, ways: u32) -> impl Iterator<Item = u64> + '_ {
+        self.lens.iter().map(move |&len| u64::from(len.min(ways)))
+    }
+
+    /// Structural stack invariants (test hook): every length within the
+    /// level's depth, live entries unique and homed to their set, unused
+    /// slots empty.
+    fn check(&self) -> Result<(), String> {
+        for (set, (&len, stack)) in self
+            .lens
+            .iter()
+            .zip(self.entries.chunks_exact(self.depth))
+            .enumerate()
+        {
+            let len = len as usize;
+            if len > self.depth {
+                return Err(format!(
+                    "set {set}: length {len} exceeds depth {}",
+                    self.depth
+                ));
+            }
+            let (live, unused) = stack.split_at(len);
+            for (i, &e) in live.iter().enumerate() {
+                if e & self.set_mask != set as u64 {
+                    return Err(format!(
+                        "set {set}: entry {e:#x} belongs to set {}",
+                        e & self.set_mask
+                    ));
+                }
+                if live[..i].contains(&e) {
+                    return Err(format!("set {set}: duplicate entry {e:#x}"));
+                }
+            }
+            if let Some(&e) = unused.iter().find(|&&e| e != EMPTY) {
+                return Err(format!("set {set}: entry {e:#x} past length {len}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One bank: every configuration sharing a line size, one [`Level`] per
+/// distinct set count.
 #[derive(Clone, Debug)]
 struct Bank {
     /// `log2(line)`: `addr >> line_shift` is the line key.
     line_shift: u32,
-    /// Set bits of the coarsest configuration in the bank.
-    s_min: u32,
-    /// `2^s_min - 1`: `key & coarse_mask` selects the stack.
-    coarse_mask: u64,
-    /// Stack slots per coarse set: `cap + 1` (one slot of slack so an
-    /// insert can complete before the lazy prune runs).
-    region: usize,
-    /// Maximum live entries per coarse set: the union bound over every
-    /// configuration's residents.
-    cap: usize,
-    /// Current stack depth per coarse set; read only off the MRU fast
-    /// path (the hot path needs exactly one load to test the top slot —
-    /// unused slots hold [`NO_VICTIM`], which never equals a key).
-    lens: Vec<u32>,
-    /// Stack entries (line keys), coarse-set-major, most recent first.
-    entries: Vec<u64>,
-    /// Distinct set-bit counts in the bank, ascending.
-    svals: Vec<u32>,
-    /// Per distinct set-bit count: the largest associativity (liveness
-    /// bound used by the prune pass).
-    max_ways: Vec<u32>,
-    /// Flat eviction thresholds, grouped by `svals` index: block `si`
-    /// spans `thr_start[si]..thr_start[si + 1]` of `thr_ways` /
-    /// `thr_point`, its associativities strictly ascending (within a
-    /// bank `(sets, ways)` determines the configuration). Flat arrays
-    /// keep the walk's inner loop free of nested-`Vec` pointer chasing.
-    thr_start: Vec<u32>,
-    /// Associativity at which each threshold fires.
-    thr_ways: Vec<u32>,
-    /// Point index whose victim each threshold records.
-    thr_point: Vec<u32>,
-    points: Vec<PointState>,
-    // Walk scratch, persisted to keep the hot path allocation-free.
-    /// Same-set entries seen so far, per distinct set-bit count.
-    counts: Vec<u32>,
-    /// Next unfired threshold per distinct set-bit count (absolute index
-    /// into the flat threshold arrays).
-    thr_ptr: Vec<u32>,
-    /// Victim line recorded per point. Valid only for points whose
-    /// eviction threshold fired in the current walk (equivalently:
-    /// whose same-set count reached its ways); stale slots are never
-    /// read, so no per-access reset is needed.
-    victims: Vec<u64>,
-    /// Prune scratch: per distinct set-bit count, one counter per fine
-    /// set within a coarse set.
-    prune_counts: Vec<Vec<u32>>,
+    /// Ascending set count, so an access walks coarse to fine.
+    levels: Vec<Level>,
 }
 
 impl Bank {
     fn new(line_shift: u32, cfgs: &[CacheConfig]) -> Self {
-        debug_assert!(!cfgs.is_empty());
-        let svals_of = |c: &CacheConfig| c.num_sets().trailing_zeros();
-        let s_min = cfgs.iter().map(svals_of).min().expect("non-empty bank");
-        let mut svals: Vec<u32> = cfgs.iter().map(svals_of).collect();
-        svals.sort_unstable();
-        svals.dedup();
-        let mut max_ways = vec![0u32; svals.len()];
-        let mut grouped: Vec<Vec<(u32, u32)>> = vec![Vec::new(); svals.len()];
-        let mut cap = 0usize;
-        let mut points = Vec::with_capacity(cfgs.len());
-        for (pi, cfg) in cfgs.iter().enumerate() {
-            let s = svals_of(cfg);
-            let si = svals.iter().position(|&v| v == s).expect("s is listed");
-            grouped[si].push((cfg.ways(), pi as u32));
-            max_ways[si] = max_ways[si].max(cfg.ways());
-            cap += (cfg.ways() as usize) << (s - s_min);
-            points.push(PointState {
-                cfg: *cfg,
-                set_mask: cfg.set_mask(),
-                ways: cfg.ways(),
-                si,
-                evict: EvictTable::new(cfg.num_sets() as usize, EvictTable::DEFAULT_CAP),
-                misses_by_kind: [0; 5],
-                cold_by_domain: [0; 2],
-                evict_by_domain: [0; 2],
-            });
-        }
-        let mut thr_start = Vec::with_capacity(svals.len() + 1);
-        let mut thr_ways = Vec::with_capacity(cfgs.len());
-        let mut thr_point = Vec::with_capacity(cfgs.len());
-        for g in &mut grouped {
-            g.sort_unstable();
-            thr_start.push(thr_ways.len() as u32);
-            for &(ways, pi) in g.iter() {
-                thr_ways.push(ways);
-                thr_point.push(pi);
-            }
-        }
-        thr_start.push(thr_ways.len() as u32);
-        let coarse_sets = 1usize << s_min;
-        let region = cap + 1;
-        let prune_counts = svals
-            .iter()
-            .map(|&s| vec![0u32; 1usize << (s - s_min)])
+        let mut cfgs = cfgs.to_vec();
+        cfgs.sort_unstable_by_key(|c| (c.num_sets(), c.ways()));
+        cfgs.dedup();
+        let levels = cfgs
+            .chunk_by(|a, b| a.num_sets() == b.num_sets())
+            .map(Level::new)
             .collect();
-        Self {
-            line_shift,
-            s_min,
-            coarse_mask: (coarse_sets - 1) as u64,
-            region,
-            cap,
-            lens: vec![0; coarse_sets],
-            entries: vec![NO_VICTIM; coarse_sets * region],
-            counts: vec![0; svals.len()],
-            thr_ptr: vec![0; svals.len()],
-            victims: vec![NO_VICTIM; points.len()],
-            prune_counts,
-            svals,
-            max_ways,
-            thr_start,
-            thr_ways,
-            thr_point,
-            points,
-        }
+        Self { line_shift, levels }
+    }
+
+    /// `(level, point)` indices of a configuration of this bank.
+    fn locate(&self, cfg: &CacheConfig) -> (usize, usize) {
+        self.levels
+            .iter()
+            .enumerate()
+            .find_map(|(li, l)| {
+                l.points
+                    .iter()
+                    .position(|p| p.cfg == *cfg)
+                    .map(|pi| (li, pi))
+            })
+            .expect("configuration is in its bank")
     }
 
     /// Splits a `words`-long sequential fetch into line runs at this
-    /// bank's line size and touches the stack once per run — after the
+    /// bank's line size and touches the levels once per run — after the
     /// first word of a line the rest of the run is guaranteed hits in
     /// every configuration of the bank (same line size), leaving all
     /// replacement state untouched, exactly as the dense cache's
@@ -212,247 +264,15 @@ impl Bank {
         }
     }
 
-    /// One line-granular access: walk the coarse set's recency stack,
-    /// settle every configuration's outcome, then move `key` to the top.
+    /// One line-granular access, walking the levels coarse to fine until
+    /// one finds `key` already most recently used.
     fn access_line(&mut self, key: u64, domain: Domain) {
-        debug_assert_ne!(key, NO_VICTIM, "address in the topmost line");
-        let coarse = (key & self.coarse_mask) as usize;
-        let base = coarse * self.region;
-        // MRU fast path: the key already tops its stack, so it has zero
-        // same-set predecessors in every configuration — a universal hit
-        // (every `ways >= 1`) that moves nothing. Hits are derived from
-        // the shared access counts, so there is nothing to record; an
-        // empty stack's top slot holds [`NO_VICTIM`], which never equals
-        // a key. This is the only load the 90%+ common case performs.
-        if self.entries[base] == key {
-            return;
-        }
-        let len = self.lens[coarse] as usize;
-
-        // Walk top (MRU) down, counting same-set predecessors per
-        // distinct set-bit count. An entry `e` shares `key`'s set in
-        // every configuration whose set bits fit inside the common low
-        // bits: `s <= trailing_zeros(e ^ key)`. The walk stops at `key`:
-        // entries below it cannot change any outcome (a hit needs only
-        // the predecessors; a miss at depth >= A means the set is full
-        // and its victim was already seen at depth A). Once every
-        // threshold has fired the counting is over too — every point's
-        // outcome and victim are settled — and only the key's position
-        // is still unknown, so the remainder degrades to a plain scan.
-        let mut found = false;
-        let mut pos = len;
-        let mut fired = 0u32;
-        let total = self.victims.len() as u32;
-        {
-            let Self {
-                entries,
-                counts,
-                thr_ptr,
-                thr_start,
-                thr_ways,
-                thr_point,
-                victims,
-                svals,
-                ..
-            } = self;
-            counts.fill(0);
-            thr_ptr.copy_from_slice(&thr_start[..svals.len()]);
-            let stack = &entries[base..base + len];
-            let mut p = 0;
-            while p < len {
-                let e = stack[p];
-                if e == key {
-                    found = true;
-                    pos = p;
-                    break;
-                }
-                let t = (e ^ key).trailing_zeros();
-                for ((&sv, c), (ptr, &end)) in svals
-                    .iter()
-                    .zip(counts.iter_mut())
-                    .zip(thr_ptr.iter_mut().zip(thr_start[1..].iter()))
-                {
-                    if sv > t {
-                        break;
-                    }
-                    *c += 1;
-                    let idx = *ptr as usize;
-                    if idx < end as usize && thr_ways[idx] == *c {
-                        // `e` is this point's LRU resident: the line a
-                        // dedicated cache would evict if this access
-                        // misses.
-                        victims[thr_point[idx] as usize] = e;
-                        *ptr += 1;
-                        fired += 1;
-                    }
-                }
-                p += 1;
-                if fired == total {
-                    if let Some(off) = stack[p..].iter().position(|&x| x == key) {
-                        found = true;
-                        pos = p + off;
-                    }
-                    break;
-                }
+        debug_assert_ne!(key, EMPTY, "address in the topmost line");
+        for level in &mut self.levels {
+            if !level.access(key, domain) {
+                break;
             }
         }
-
-        // Settle each missing point by replicating the dense miss path:
-        // record the eviction first, then classify against the provenance
-        // table (order matters under its cap). A found key with no
-        // threshold fired is a hit for every point (each count stayed
-        // below its smallest associativity) — nothing to settle.
-        if !found {
-            // Global miss: the key is in no configuration (the stack
-            // holds a superset of every point's residents), so every
-            // point misses; those whose set is full (count reached ways,
-            // i.e. their threshold fired) also evict their victim.
-            for pi in 0..self.points.len() {
-                let point = &mut self.points[pi];
-                let set = (key & point.set_mask) as u32;
-                if self.counts[point.si] >= point.ways {
-                    point.evict.record(set, self.victims[pi], domain);
-                    point.evict_by_domain[domain.index()] += 1;
-                }
-                let kind = MissKind::classify(domain, point.evict.lookup(set, key));
-                point.misses_by_kind[kind.index()] += 1;
-                if kind == MissKind::Cold {
-                    point.cold_by_domain[domain.index()] += 1;
-                }
-            }
-        } else if fired > 0 {
-            // Hit in some configurations: exactly the points whose
-            // threshold fired saw `ways` same-set lines above the key —
-            // a conflict miss with a full set. The fired thresholds are
-            // the walk-front prefix of each set-bit count's block, so
-            // the missing points are enumerated directly; every other
-            // point is a hit and is never touched.
-            for si in 0..self.svals.len() {
-                for idx in self.thr_start[si] as usize..self.thr_ptr[si] as usize {
-                    let pi = self.thr_point[idx] as usize;
-                    let point = &mut self.points[pi];
-                    let set = (key & point.set_mask) as u32;
-                    point.evict.record(set, self.victims[pi], domain);
-                    point.evict_by_domain[domain.index()] += 1;
-                    let kind = MissKind::classify(domain, point.evict.lookup(set, key));
-                    point.misses_by_kind[kind.index()] += 1;
-                    if kind == MissKind::Cold {
-                        point.cold_by_domain[domain.index()] += 1;
-                    }
-                }
-            }
-        }
-
-        // Update the stack: hoist `key` to the top, preserving the
-        // relative recency of everything above its old position.
-        if found {
-            self.entries.copy_within(base..base + pos, base + 1);
-            self.entries[base] = key;
-        } else {
-            self.entries.copy_within(base..base + len, base + 1);
-            self.entries[base] = key;
-            let new_len = len + 1;
-            self.lens[coarse] = new_len as u32;
-            if new_len > self.cap {
-                self.prune(coarse);
-            }
-        }
-    }
-
-    /// Lazy liveness prune: drops stack entries resident in no
-    /// configuration. Such an entry has, for every set-bit count `s`, at
-    /// least `max_ways(s)` same-set entries above it — so any future
-    /// access that would have walked past it already sees a full set
-    /// (hit/miss unchanged) with its victim above (eviction unchanged),
-    /// and deeper same-set entries keep at least `max_ways(s)`
-    /// predecessors (their outcomes unchanged too). Residents of some
-    /// configuration are never dropped, so at most
-    /// `sum(ways_c * 2^(s_c - s_min))` = `cap` entries are live; called
-    /// at `cap + 1`, the pass always reclaims at least one slot.
-    fn prune(&mut self, coarse: usize) {
-        let base = coarse * self.region;
-        for c in &mut self.prune_counts {
-            c.fill(0);
-        }
-        let len = self.lens[coarse] as usize;
-        let mut write = 0usize;
-        for p in 0..len {
-            let e = self.entries[base + p];
-            let mut live = false;
-            for si in 0..self.svals.len() {
-                // Fine-set index within this coarse set: the key bits
-                // between `s_min` and `s`.
-                let fid =
-                    ((e >> self.s_min) & ((1u64 << (self.svals[si] - self.s_min)) - 1)) as usize;
-                let seen = self.prune_counts[si][fid];
-                if seen < self.max_ways[si] {
-                    live = true;
-                }
-                // Dead entries still count: residency depth is measured
-                // over all same-set lines in the stack, dead or not.
-                self.prune_counts[si][fid] = seen + 1;
-            }
-            if live {
-                self.entries[base + write] = e;
-                write += 1;
-            }
-        }
-        debug_assert!(write <= self.cap, "prune must reclaim the slack slot");
-        // Clear the reclaimed tail so the MRU fast path stays safe on
-        // any slot the stack may shrink back onto.
-        self.entries[base + write..base + len].fill(NO_VICTIM);
-        self.lens[coarse] = write as u32;
-    }
-
-    /// Final per-set occupancy of one point, reconstructed from the
-    /// stack: a set holds `min(same-set stack entries, ways)` valid
-    /// lines (the stack keeps at least every resident, and a set with
-    /// fewer than `ways` distinct lines ever accessed has never pruned).
-    fn occupancy(&self, pi: usize) -> Vec<u32> {
-        let point = &self.points[pi];
-        let mut occ = vec![0u32; point.cfg.num_sets() as usize];
-        for (&len, stack) in self.lens.iter().zip(self.entries.chunks_exact(self.region)) {
-            for &e in &stack[..len as usize] {
-                let set = (e & point.set_mask) as usize;
-                if occ[set] < point.ways {
-                    occ[set] += 1;
-                }
-            }
-        }
-        occ
-    }
-
-    /// Structural stack invariants (test hook): depth within the cap,
-    /// entries unique, and every entry in its home coarse set. A
-    /// violation means stack inclusion has been broken.
-    fn check(&self) -> Result<(), String> {
-        for (coarse, (&len, stack)) in self
-            .lens
-            .iter()
-            .zip(self.entries.chunks_exact(self.region))
-            .enumerate()
-        {
-            let len = len as usize;
-            if len > self.cap {
-                return Err(format!(
-                    "coarse set {coarse}: depth {len} exceeds cap {}",
-                    self.cap
-                ));
-            }
-            let slice = &stack[..len];
-            for (i, &e) in slice.iter().enumerate() {
-                if (e & self.coarse_mask) as usize != coarse {
-                    return Err(format!(
-                        "coarse set {coarse}: entry {e:#x} belongs to set {}",
-                        e & self.coarse_mask
-                    ));
-                }
-                if slice[..i].contains(&e) {
-                    return Err(format!("coarse set {coarse}: duplicate entry {e:#x}"));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -460,9 +280,9 @@ impl Bank {
 /// access stream yields, per [`CacheConfig`] point, results identical to
 /// a dedicated [`crate::Cache`] replaying the same stream.
 ///
-/// Construction groups the points into banks by line size; within a bank,
-/// duplicate configurations collapse onto one simulation point (queries
-/// by original index are fanned back out).
+/// Construction groups the points into banks by line size and, within a
+/// bank, into levels by set count; duplicate configurations collapse onto
+/// one simulation point (queries by original index are fanned back out).
 ///
 /// # Example
 ///
@@ -482,8 +302,8 @@ impl Bank {
 #[derive(Clone, Debug)]
 pub struct MultiSim {
     banks: Vec<Bank>,
-    /// Original point index -> (bank, point-in-bank).
-    point_map: Vec<(usize, usize)>,
+    /// Original point index -> (bank, level, point-in-level).
+    point_map: Vec<(usize, usize, usize)>,
     /// Word fetches by domain — identical for every point (the stream is
     /// shared), so accounted once for the whole group.
     accesses: [u64; 2],
@@ -500,37 +320,42 @@ impl MultiSim {
     #[must_use]
     pub fn new(configs: &[CacheConfig]) -> Self {
         assert!(!configs.is_empty(), "multisim needs at least one point");
-        // Group by line size, deduplicating identical configurations.
-        let mut bank_cfgs: Vec<(u32, Vec<CacheConfig>)> = Vec::new();
-        let mut point_map = Vec::with_capacity(configs.len());
+        // One bank per line size, in first-appearance order.
+        let mut banks: Vec<Bank> = Vec::new();
         for cfg in configs {
             let shift = cfg.line_shift();
-            let bi = match bank_cfgs.iter().position(|&(s, _)| s == shift) {
-                Some(bi) => bi,
-                None => {
-                    bank_cfgs.push((shift, Vec::new()));
-                    bank_cfgs.len() - 1
-                }
-            };
-            let within = &mut bank_cfgs[bi].1;
-            let pi = match within.iter().position(|c| c == cfg) {
-                Some(pi) => pi,
-                None => {
-                    within.push(*cfg);
-                    within.len() - 1
-                }
-            };
-            point_map.push((bi, pi));
+            if banks.iter().all(|b| b.line_shift != shift) {
+                let members: Vec<CacheConfig> = configs
+                    .iter()
+                    .filter(|c| c.line_shift() == shift)
+                    .copied()
+                    .collect();
+                banks.push(Bank::new(shift, &members));
+            }
         }
-        let banks = bank_cfgs
-            .into_iter()
-            .map(|(shift, cfgs)| Bank::new(shift, &cfgs))
+        let point_map = configs
+            .iter()
+            .map(|cfg| {
+                let bi = banks
+                    .iter()
+                    .position(|b| b.line_shift == cfg.line_shift())
+                    .expect("every line size has a bank");
+                let (li, pi) = banks[bi].locate(cfg);
+                (bi, li, pi)
+            })
             .collect();
         Self {
             banks,
             point_map,
             accesses: [0; 2],
         }
+    }
+
+    /// The level and state of one input point.
+    fn point(&self, point: usize) -> (&Level, &PointState) {
+        let (bi, li, pi) = self.point_map[point];
+        let level = &self.banks[bi].levels[li];
+        (level, &level.points[pi])
     }
 
     /// Number of input points (including duplicates).
@@ -542,8 +367,7 @@ impl MultiSim {
     /// The configuration of one input point.
     #[must_use]
     pub fn config(&self, point: usize) -> CacheConfig {
-        let (bi, pi) = self.point_map[point];
-        self.banks[bi].points[pi].cfg
+        self.point(point).1.cfg
     }
 
     /// Simulates one instruction-word fetch, for every point at once.
@@ -572,8 +396,7 @@ impl MultiSim {
     /// point after the same stream.
     #[must_use]
     pub fn stats(&self, point: usize) -> MissStats {
-        let (bi, pi) = self.point_map[point];
-        let p = &self.banks[bi].points[pi];
+        let p = self.point(point).1;
         let mk = p.misses_by_kind;
         let suffered = [
             // Misses suffered by the OS: its cold misses plus both
@@ -599,29 +422,30 @@ impl MultiSim {
     /// histogram sample per set in set order, and the `cache.occupancy`
     /// fill gauge.
     pub fn report_into(&self, point: usize, probe: &dyn Probe) {
-        let (bi, pi) = self.point_map[point];
-        let bank = &self.banks[bi];
-        let p = &bank.points[pi];
+        let (level, p) = self.point(point);
         post_cache_metrics(
             probe,
             p.misses_by_kind,
             p.evict_by_domain,
-            bank.occupancy(pi).into_iter().map(u64::from),
-            u64::from(p.cfg.num_sets()) * u64::from(p.ways),
+            level.occupancy(p.cfg.ways()),
+            u64::from(p.cfg.num_sets()) * u64::from(p.cfg.ways()),
         );
     }
 
-    /// Verifies the structural invariants of every bank stack (bounded
-    /// depth, unique entries, correct coarse-set homing). Test hook for
-    /// the property suite: any violation means the capped stack has lost
-    /// inclusion.
+    /// Verifies the structural invariants of every level's stacks
+    /// (length within the level's depth, unique entries homed to their
+    /// set, unused slots empty). Test hook for the property suite.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_inclusion(&self) -> Result<(), String> {
+    pub fn check_invariants(&self) -> Result<(), String> {
         for (bi, bank) in self.banks.iter().enumerate() {
-            bank.check().map_err(|e| format!("bank {bi}: {e}"))?;
+            for (li, level) in bank.levels.iter().enumerate() {
+                level
+                    .check()
+                    .map_err(|e| format!("bank {bi} level {li}: {e}"))?;
+            }
         }
         Ok(())
     }
@@ -677,7 +501,7 @@ mod tests {
         for (pi, c) in dense.iter().enumerate() {
             assert_eq!(multi.stats(pi), *c.stats(), "point {pi} ({})", grid[pi]);
         }
-        multi.check_inclusion().expect("stack invariants hold");
+        multi.check_invariants().expect("stack invariants hold");
     }
 
     #[test]
@@ -709,9 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn prune_pressure_preserves_equality() {
-        // Tiny caches, address span far beyond every capacity: the
-        // coarse stacks overflow constantly, exercising the lazy prune.
+    fn truncation_pressure_preserves_equality() {
+        // Tiny caches, address span far beyond every capacity: every
+        // level's stacks fill and drop entries below their depth
+        // constantly.
         let grid = vec![
             CacheConfig::new(64, 16, 1),
             CacheConfig::new(128, 16, 2),
@@ -725,7 +550,9 @@ mod tests {
             for c in &mut dense {
                 c.access_words(base, words, domain);
             }
-            multi.check_inclusion().expect("capped stack stays sound");
+            multi
+                .check_invariants()
+                .expect("truncated stacks stay sound");
         });
         for (pi, c) in dense.iter().enumerate() {
             assert_eq!(multi.stats(pi), *c.stats(), "point {pi} ({})", grid[pi]);
@@ -811,7 +638,7 @@ mod tests {
                     stats.record(domain, detail.outcome);
                 }
             }
-            multi.check_inclusion().expect("stack invariants hold");
+            multi.check_invariants().expect("stack invariants hold");
             for (pi, (_, stats)) in refs.iter().enumerate() {
                 assert_eq!(
                     multi.stats(pi),
@@ -824,10 +651,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_caches_under_prune_pressure() {
-        // Same property on the capped stack: tiny caches, an address span
-        // far beyond every capacity, inclusion checked as the lazy prune
-        // fires.
+    fn matches_reference_caches_under_truncation_pressure() {
+        // Same property under truncation: tiny caches, an address span
+        // far beyond every capacity, invariants checked as full stacks
+        // drop their bottom entries.
         use crate::reference::ReferenceCache;
 
         let grid = vec![
@@ -855,18 +682,22 @@ mod tests {
                 stats.record(domain, detail.outcome);
             }
             if step % 1024 == 0 {
-                multi.check_inclusion().expect("capped stack stays sound");
+                multi
+                    .check_invariants()
+                    .expect("truncated stacks stay sound");
             }
         }
-        multi.check_inclusion().expect("capped stack stays sound");
+        multi
+            .check_invariants()
+            .expect("truncated stacks stay sound");
         for (pi, (_, stats)) in refs.iter().enumerate() {
             assert_eq!(multi.stats(pi), *stats, "point {pi} ({})", grid[pi]);
         }
     }
 
     #[test]
-    fn check_inclusion_detects_corrupted_stacks() {
-        // `check_inclusion` is the property suite's oracle, so prove it
+    fn check_invariants_detects_corrupted_stacks() {
+        // `check_invariants` is the property suite's oracle, so prove it
         // actually fires: plant each class of violation in a healthy
         // simulator and expect the matching report.
         let grid = grid();
@@ -875,38 +706,124 @@ mod tests {
             random_stream(0x5EED, 3_000, 6 * 1024, |base, words, domain| {
                 m.access_words(base, words, domain);
             });
-            m.check_inclusion().expect("healthy after the stream");
+            m.check_invariants().expect("healthy after the stream");
             m
         };
-        let deep_coarse = |m: &MultiSim| {
-            m.banks[0]
-                .lens
+        // A level of the first bank with at least two sets and a set at
+        // least two deep: (level, set, first slot of that set).
+        let deep_set = |m: &MultiSim| {
+            let levels = &m.banks[0].levels;
+            levels
                 .iter()
-                .position(|&l| l >= 2)
-                .expect("a stack at least two deep")
+                .enumerate()
+                .filter(|(_, l)| l.lens.len() > 1)
+                .find_map(|(li, l)| {
+                    let set = l.lens.iter().position(|&len| len >= 2)?;
+                    Some((li, set, set * l.depth))
+                })
+                .expect("a multi-set level with a stack at least two deep")
         };
 
         // A duplicated entry.
         let mut m = filled();
-        let base = deep_coarse(&m) * m.banks[0].region;
-        m.banks[0].entries[base + 1] = m.banks[0].entries[base];
-        let err = m.check_inclusion().expect_err("duplicate goes undetected");
+        let (li, _, base) = deep_set(&m);
+        let level = &mut m.banks[0].levels[li];
+        level.entries[base + 1] = level.entries[base];
+        let err = m.check_invariants().expect_err("duplicate goes undetected");
         assert!(err.contains("duplicate"), "{err}");
 
-        // An entry homed to the wrong coarse set (flipping the lowest key
-        // bit moves it: every grid bank has more than one coarse set).
+        // An entry homed to the wrong set (flipping the lowest key bit
+        // moves it: the level has more than one set).
         let mut m = filled();
-        let base = deep_coarse(&m) * m.banks[0].region;
-        m.banks[0].entries[base] ^= 1;
-        let err = m.check_inclusion().expect_err("mis-homed entry undetected");
+        let (li, _, base) = deep_set(&m);
+        m.banks[0].levels[li].entries[base] ^= 1;
+        let err = m
+            .check_invariants()
+            .expect_err("mis-homed entry undetected");
         assert!(err.contains("belongs to"), "{err}");
 
-        // A stack deeper than the inclusion cap.
+        // A stack deeper than its level's depth.
         let mut m = filled();
-        let coarse = deep_coarse(&m);
-        m.banks[0].lens[coarse] = m.banks[0].cap as u32 + 1;
-        let err = m.check_inclusion().expect_err("over-deep stack undetected");
-        assert!(err.contains("exceeds cap"), "{err}");
+        let (li, set, _) = deep_set(&m);
+        let level = &mut m.banks[0].levels[li];
+        level.lens[set] = level.depth as u32 + 1;
+        let err = m
+            .check_invariants()
+            .expect_err("over-deep stack undetected");
+        assert!(err.contains("exceeds depth"), "{err}");
+
+        // A stale key in an unused slot (the MRU test would read it): one
+        // access leaves set 0 of the coarsest level one line deep.
+        let mut m = MultiSim::new(&grid);
+        m.access(0, Domain::Os);
+        let level = &mut m.banks[0].levels[0];
+        assert!(level.depth > 1 && level.lens[0] == 1);
+        level.entries[1] = level.set_mask + 1;
+        let err = m.check_invariants().expect_err("stale slot undetected");
+        assert!(err.contains("past length"), "{err}");
+    }
+
+    #[test]
+    fn design_grid_matches_dense_and_reference_caches() {
+        // The figure sweeps' design grid scaled down 16x: 256 B-16 KB x
+        // 1/2/4/8 ways at 32 B (one bank of many levels, 8-way depth),
+        // plus 16/64/128 B lines at 512 B. Half the fetches land in a
+        // hot 2 KB region, the rest anywhere in a span 3x the largest
+        // cache, so every level's stacks fill and truncate.
+        use crate::reference::ReferenceCache;
+
+        let mut grid = Vec::new();
+        for size in [256u32, 512, 1024, 2048, 4096, 8192, 16_384] {
+            for ways in [1u32, 2, 4, 8] {
+                grid.push(CacheConfig::new(size, 32, ways));
+            }
+        }
+        grid.extend([16u32, 64, 128].map(|line| CacheConfig::new(512, line, 1)));
+        let span = 3 * 16_384u32;
+        for seed in [0xD5161u64, 0x5EED_0002, 0x5EED_0003] {
+            let mut multi = MultiSim::new(&grid);
+            let mut dense: Vec<Cache> = grid.iter().map(|&c| Cache::new(c)).collect();
+            let mut refs: Vec<(ReferenceCache, MissStats)> = grid
+                .iter()
+                .map(|&c| (ReferenceCache::new(c), MissStats::default()))
+                .collect();
+            let mut rng = Rng::seed_from_u64(seed);
+            for _ in 0..6_000u32 {
+                let base = if rng.gen_range(0..2u32) == 0 {
+                    u64::from(rng.gen_range(0..2048u32))
+                } else {
+                    u64::from(rng.gen_range(0..span))
+                };
+                let words = 1 + rng.gen_range(0..16u32);
+                let domain = if rng.gen_range(0..3u32) == 0 {
+                    Domain::App
+                } else {
+                    Domain::Os
+                };
+                multi.access_words(base, words, domain);
+                for c in &mut dense {
+                    c.access_words(base, words, domain);
+                }
+                for (r, stats) in &mut refs {
+                    for w in 0..words {
+                        let addr = base + u64::from(w * oslay_model::WORD_BYTES);
+                        stats.record(domain, r.access_detailed(addr, domain).outcome);
+                    }
+                }
+            }
+            multi.check_invariants().expect("stack invariants hold");
+            for (pi, (c, (_, ref_stats))) in dense.iter().zip(&refs).enumerate() {
+                let at = format!("seed {seed:#x} point {pi} ({})", grid[pi]);
+                assert_eq!(multi.stats(pi), *c.stats(), "{at} vs Cache");
+                assert_eq!(multi.stats(pi), *ref_stats, "{at} vs ReferenceCache");
+                let (mine, theirs) = (MetricRegistry::new(), MetricRegistry::new());
+                multi.report_into(pi, &mine);
+                c.report_into(&theirs);
+                assert_eq!(mine.counters(), theirs.counters(), "{at} counters");
+                assert_eq!(mine.gauges(), theirs.gauges(), "{at} gauges");
+                assert_eq!(mine.histograms(), theirs.histograms(), "{at} histograms");
+            }
+        }
     }
 
     #[test]
@@ -915,6 +832,6 @@ mod tests {
         for pi in 0..multi.num_points() {
             assert_eq!(multi.stats(pi), MissStats::default());
         }
-        multi.check_inclusion().expect("empty stacks are sound");
+        multi.check_invariants().expect("empty stacks are sound");
     }
 }

@@ -125,6 +125,36 @@ diff <(grep -vE "$nondet" "$tmpdir/results/fig12_optimization_levels.json") \
      <(grep -vE "$nondet" results/fig12_optimization_levels.json)
 rm -rf "$tmpdir"
 
+echo "== paper-scale results contract: every committed results/<name>.txt reproduces =="
+# Each experiment binary behind a committed results/<name>.txt reruns at
+# paper scale in a scratch directory; its stdout must equal the committed
+# file byte for byte and, where a results/<name>.json is committed, the
+# report's deterministic fields must equal it too. Figure 12 has its own
+# step above; diag and analyze run with their recorded arguments.
+tmpdir="$(mktemp -d)"
+repo_root="$PWD"
+for committed in results/*.txt; do
+  name="$(basename "$committed" .txt)"
+  case "$name" in
+    fig12_optimization_levels) continue ;;
+    diag_base_vs_opts) cmd=(--bin diag -- --compare base opts) ;;
+    analyze) cmd=(--bin analyze -- --layout all --gate) ;;
+    *) cmd=(--bin "$name" --) ;;
+  esac
+  mkdir -p "$tmpdir/$name/results"
+  (
+    cd "$tmpdir/$name"
+    cargo run --release -q --manifest-path "$repo_root/Cargo.toml" -p oslay-bench \
+      "${cmd[@]}" --scale paper --threads 2 > stdout.txt 2> /dev/null
+  )
+  diff "$tmpdir/$name/stdout.txt" "$committed"
+  if [ -f "results/$name.json" ]; then
+    diff <(grep -vE "$nondet" "$tmpdir/$name/results/$name.json") \
+         <(grep -vE "$nondet" "results/$name.json")
+  fi
+done
+rm -rf "$tmpdir"
+
 echo "== flight recorder gate: schema-valid trace, stdout unperturbed =="
 tmpdir="$(mktemp -d)"
 repo_root="$PWD"

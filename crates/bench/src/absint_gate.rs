@@ -218,7 +218,7 @@ pub fn measure_point_misses(
                 let mut addr = os.base[b];
                 for p in os.slots(b) {
                     let words = u32::from(os.slot_words[p]);
-                    misses[p] += cache.access_words(addr, words, Domain::Os);
+                    misses[p] += cache.access_words(addr, words, Domain::Os, &mut |_, _| {});
                     addr += u64::from(words) * word;
                 }
             }
@@ -226,7 +226,12 @@ pub fn measure_point_misses(
                 let app = app
                     .as_ref()
                     .expect("app block in a workload without an app");
-                cache.access_words(app.addr(id), app.fetch_words(id), Domain::App);
+                cache.access_words(
+                    app.addr(id),
+                    app.fetch_words(id),
+                    Domain::App,
+                    &mut |_, _| {},
+                );
             }
         }
     }

@@ -5,23 +5,47 @@
 //! pressure: under `Base`, a few cache sets thrash (the peaks); under
 //! `OptS`, equally-hot code is spread across sets and the SelfConfFree
 //! sets go quiet. This binary measures per-set miss concentration and
-//! imbalance for each layout.
+//! imbalance for each layout, off the attribution report's per-set miss
+//! counts.
+
+use std::sync::Arc;
 
 use oslay::analysis::report::{f, pct, TextTable};
-use oslay::cache::{Cache, CacheConfig, SetCensus};
+use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, run_args, run_attributed_matrix};
+use oslay_observe::MetricRegistry;
 
 fn main() {
-    let config = config_from_args();
+    let args = run_args();
+    let config = args.config;
     banner(
         "Extension: per-set conflict pressure (8KB direct-mapped)",
         &config,
     );
-    let study = Study::generate(&config);
+    let study = Study::generate_with_threads(&config, args.threads);
     let cfg = CacheConfig::paper_default();
+    let kinds = [
+        OsLayoutKind::Base,
+        OsLayoutKind::ChangHwu,
+        OsLayoutKind::OptS,
+    ];
+    // Sets covered by the SelfConfFree area (offsets [0, scf_bytes) of
+    // each frame), per layout kind.
+    let scf_sets: Vec<usize> = kinds
+        .iter()
+        .map(|&kind| (study.os_layout(kind, cfg.size()).scf_bytes / u64::from(cfg.line())) as usize)
+        .collect();
+    let matrix = run_attributed_matrix(
+        &study,
+        &kinds,
+        cfg,
+        &SimConfig::fast(),
+        args.threads,
+        &Arc::new(MetricRegistry::new()),
+    );
 
-    for case in study.cases() {
+    for (case, row) in study.cases().iter().zip(&matrix) {
         println!("{}:", case.name());
         let mut table = TextTable::new([
             "layout",
@@ -31,35 +55,17 @@ fn main() {
             "imbalance (cv)",
             "SCF-set misses",
         ]);
-        for kind in [
-            OsLayoutKind::Base,
-            OsLayoutKind::ChangHwu,
-            OsLayoutKind::OptS,
-        ] {
-            let os = study.os_layout(kind, cfg.size());
-            let app = study.app_base_layout(case);
-            let mut cache = SetCensus::new(Cache::new(cfg), cfg);
-            let r = study.simulate(
-                case,
-                &os.layout,
-                app.as_ref(),
-                &mut cache,
-                &SimConfig::fast(),
-            );
-            // Misses landing in the sets covered by the SelfConfFree area
-            // (offsets [0, scf_bytes) of each frame).
-            let scf_sets = (os.scf_bytes / u64::from(cfg.line())) as usize;
-            let scf_misses: u64 = cache.set_misses()[..scf_sets].iter().sum();
+        for ((kind, (r, report)), &scf) in kinds.iter().zip(row).zip(&scf_sets) {
             table.row([
                 kind.name().to_owned(),
                 r.stats.total_misses().to_string(),
-                pct(cache.miss_concentration(8)),
-                pct(cache.miss_concentration(32)),
-                f(cache.miss_imbalance(), 2),
-                if os.scf_bytes == 0 {
+                pct(report.set_peak_share(8)),
+                pct(report.set_peak_share(32)),
+                f(report.set_imbalance(), 2),
+                if scf == 0 {
                     "n/a".to_owned()
                 } else {
-                    scf_misses.to_string()
+                    report.set_misses[..scf].iter().sum::<u64>().to_string()
                 },
             ]);
         }

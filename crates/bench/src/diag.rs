@@ -18,7 +18,10 @@
 //! the second layout resolved, which it introduced. A machine-readable
 //! copy lands in `results/diag_<a>_vs_<b>.json`.
 
-use crate::{banner, run_case_attributed, AppSide, Reporter};
+use crate::{
+    apply_run_args, banner, exit_usage, flag_value, run_case_attributed, try_parse_run_args,
+    AppSide, Reporter,
+};
 use oslay::analysis::figures::render_set_heatmap;
 use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::{AttributionReport, CacheConfig, CodeRef};
@@ -26,14 +29,14 @@ use oslay::model::{Domain, RoutineId};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_observe::{AttrClass, RunReport};
 
-fn parse_kind(token: &str) -> OsLayoutKind {
+fn parse_kind(token: &str) -> Result<OsLayoutKind, String> {
     match token.to_ascii_lowercase().as_str() {
-        "base" => OsLayoutKind::Base,
-        "ch" | "c-h" | "changhwu" | "chang-hwu" => OsLayoutKind::ChangHwu,
-        "opts" => OsLayoutKind::OptS,
-        "optl" => OsLayoutKind::OptL,
-        "call" => OsLayoutKind::Call,
-        other => panic!("unknown layout {other:?} (base|ch|opts|optl|call)"),
+        "base" => Ok(OsLayoutKind::Base),
+        "ch" | "c-h" | "changhwu" | "chang-hwu" => Ok(OsLayoutKind::ChangHwu),
+        "opts" => Ok(OsLayoutKind::OptS),
+        "optl" => Ok(OsLayoutKind::OptL),
+        "call" => Ok(OsLayoutKind::Call),
+        other => Err(format!("unknown layout {other:?} (base|ch|opts|optl|call)")),
     }
 }
 
@@ -49,28 +52,29 @@ fn parse_args() -> Args {
     let mut compare = None;
     let mut case = "Shell".to_owned();
     let mut check_results = false;
-    let common = crate::run_args_with(StudyConfig::paper(), |arg, rest| match arg {
-        "--compare" => {
-            let a = rest.pop_front().expect("--compare needs two layout names");
-            let b = rest.pop_front().expect("--compare needs two layout names");
-            compare = Some((
-                parse_kind(&a),
-                parse_kind(&b),
-                a.to_ascii_lowercase(),
-                b.to_ascii_lowercase(),
-            ));
-            true
+    let argv = std::env::args().skip(1).collect();
+    let common = try_parse_run_args(argv, StudyConfig::paper(), |arg, rest| {
+        match arg {
+            "--compare" => {
+                let mut name = || {
+                    flag_value(arg, rest).map_err(|_| "--compare needs two layout names".to_owned())
+                };
+                let (a, b) = (name()?, name()?);
+                compare = Some((
+                    parse_kind(&a)?,
+                    parse_kind(&b)?,
+                    a.to_ascii_lowercase(),
+                    b.to_ascii_lowercase(),
+                ));
+            }
+            "--case" => case = flag_value(arg, rest)?,
+            "--check-results" => check_results = true,
+            _ => return Ok(false),
         }
-        "--case" => {
-            case = rest.pop_front().expect("--case needs a workload name");
-            true
-        }
-        "--check-results" => {
-            check_results = true;
-            true
-        }
-        _ => false,
-    });
+        Ok(true)
+    })
+    .unwrap_or_else(|e| exit_usage(&e));
+    apply_run_args(&common);
     Args {
         config: common.config,
         threads: common.threads,

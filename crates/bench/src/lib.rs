@@ -619,8 +619,8 @@ fn memoized_app_layouts(study: &Study, points: &[SweepPoint]) -> Vec<Option<Arc<
 /// global point order, the same merge contract as [`run_sweep`].
 ///
 /// Only aggregate statistics can be collected this way: a [`SimConfig`]
-/// requesting miss maps or per-block counts falls back to [`run_sweep`]
-/// (no committed sweep grid requests either). The timeline stream
+/// requesting [`SimConfig::miss_detail`] falls back to [`run_sweep`]
+/// (no committed sweep grid requests it). The timeline stream
 /// differs from per-point mode — one recorded run per lane rather than
 /// per point — but is itself worker-count-invariant.
 #[must_use]
@@ -631,7 +631,7 @@ pub fn run_sweep_single_pass(
     threads: usize,
     registry: &Arc<MetricRegistry>,
 ) -> Vec<SimResult> {
-    if sim.os_miss_map || sim.block_misses {
+    if sim.miss_detail {
         return run_sweep(study, points, sim, threads, registry);
     }
     let apps = memoized_app_layouts(study, &points);

@@ -10,6 +10,7 @@ const TRACE: &str = env!("CARGO_BIN_EXE_trace");
 const FIG12: &str = env!("CARGO_BIN_EXE_fig12_optimization_levels");
 const SEARCH: &str = env!("CARGO_BIN_EXE_search");
 const BENCH_SIM: &str = env!("CARGO_BIN_EXE_bench_sim");
+const DIAG: &str = env!("CARGO_BIN_EXE_diag");
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -167,6 +168,28 @@ fn bad_invocations_are_usage_errors() {
         (BENCH_SIM, &["--gate-window"], "--gate-window needs a value"),
         (BENCH_SIM, &["--out"], "--out needs a value"),
         (BENCH_SIM, &["--history"], "--history needs a value"),
+        (DIAG, &["--compare"], "--compare needs two layout names"),
+        (
+            DIAG,
+            &["--compare", "base"],
+            "--compare needs two layout names",
+        ),
+        (
+            DIAG,
+            &["--compare", "base", "nope"],
+            "unknown layout \"nope\"",
+        ),
+        (
+            DIAG,
+            &["--compare", "fast", "opts"],
+            "unknown layout \"fast\"",
+        ),
+        (DIAG, &["--case"], "--case needs a value"),
+        (
+            DIAG,
+            &["--scale", "tiny", "--bogus"],
+            "unknown argument \"--bogus\"",
+        ),
     ];
     for &(bin, args, message) in cases {
         let out = run(bin, args);

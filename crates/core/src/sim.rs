@@ -1,7 +1,7 @@
 //! Trace replay through a cache under a pair of layouts.
 
 use oslay_analysis::missmap::AddressHistogram;
-use oslay_cache::{CacheConfig, InstructionCache, MissStats, MultiSim};
+use oslay_cache::{CacheConfig, InstructionCache, MissKind, MissStats, MultiSim};
 use oslay_layout::Layout;
 use oslay_model::Domain;
 use oslay_observe::timeline::{self, CacheSnapshot, WindowRecorder};
@@ -18,7 +18,7 @@ fn cache_snapshot<C: InstructionCache + ?Sized>(cache: &C) -> CacheSnapshot {
         accesses: stats.total_accesses(),
         os_accesses: stats.accesses(Domain::Os),
         misses: stats.total_misses(),
-        cold_misses: stats.misses(oslay_cache::MissKind::Cold),
+        cold_misses: stats.misses(MissKind::Cold),
         probe: cache.telemetry_snapshot(),
     }
 }
@@ -26,29 +26,23 @@ fn cache_snapshot<C: InstructionCache + ?Sized>(cache: &C) -> CacheSnapshot {
 /// What to collect during a simulation.
 #[derive(Copy, Clone, Debug)]
 pub struct SimConfig {
-    /// Collect a per-1KB histogram of OS miss addresses (Figures 1, 14).
-    pub os_miss_map: bool,
-    /// Collect per-block miss counts (Figure 13, Table 2).
-    pub block_misses: bool,
+    /// Collect where the misses land: per-1KB histograms of OS miss
+    /// addresses (Figures 1, 14) and per-block miss counts (Figure 13,
+    /// Table 2).
+    pub miss_detail: bool,
 }
 
 impl SimConfig {
     /// Collect nothing beyond the aggregate statistics.
     #[must_use]
     pub fn fast() -> Self {
-        Self {
-            os_miss_map: false,
-            block_misses: false,
-        }
+        Self { miss_detail: false }
     }
 
     /// Collect everything.
     #[must_use]
     pub fn full() -> Self {
-        Self {
-            os_miss_map: true,
-            block_misses: true,
-        }
+        Self { miss_detail: true }
     }
 }
 
@@ -92,19 +86,34 @@ pub struct Replayer<'a, C: InstructionCache + ?Sized = dyn InstructionCache> {
     os_layout: &'a Layout,
     app_layout: Option<&'a Layout>,
     cache: &'a mut C,
-    os_miss_map: Option<AddressHistogram>,
-    os_self_miss_map: Option<AddressHistogram>,
-    os_cross_miss_map: Option<AddressHistogram>,
-    os_block_misses: Option<Vec<u64>>,
-    app_block_misses: Option<Vec<u64>>,
-    /// Per-word replay is only needed when address-granular miss maps are
-    /// collected; otherwise block fetches take the coalesced line-run
-    /// path.
-    per_address: bool,
+    /// Present under [`SimConfig::miss_detail`].
+    detail: Option<MissDetail>,
     /// Timeline recorder, present only when the timeline is enabled and
     /// this thread is inside a recording scope — the hot path then pays
     /// one branch per event plus a periodic cache sample.
     telemetry: Option<Box<WindowRecorder>>,
+}
+
+/// Where the misses of a replay landed: the collectors behind
+/// [`SimConfig::miss_detail`].
+struct MissDetail {
+    os_miss_map: AddressHistogram,
+    os_self_miss_map: AddressHistogram,
+    os_cross_miss_map: AddressHistogram,
+    os_block_misses: Vec<u64>,
+    app_block_misses: Vec<u64>,
+}
+
+impl MissDetail {
+    /// Files one OS miss reported by the cache under its address.
+    fn add_os_miss(&mut self, addr: u64, kind: MissKind) {
+        self.os_miss_map.add(addr);
+        match kind {
+            MissKind::OsSelf => self.os_self_miss_map.add(addr),
+            MissKind::OsByApp => self.os_cross_miss_map.add(addr),
+            _ => {}
+        }
+    }
 }
 
 impl<C: InstructionCache + ?Sized> std::fmt::Debug for Replayer<'_, C> {
@@ -118,7 +127,7 @@ impl<C: InstructionCache + ?Sized> std::fmt::Debug for Replayer<'_, C> {
 
 impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
     /// Creates a replayer. `os_blocks`/`app_blocks` size the per-block
-    /// miss vectors when `config.block_misses` is set.
+    /// miss vectors when `config.miss_detail` is set.
     #[must_use]
     pub fn new(
         os_layout: &'a Layout,
@@ -139,12 +148,13 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             os_layout,
             app_layout,
             cache,
-            os_miss_map: config.os_miss_map.then(AddressHistogram::paper),
-            os_self_miss_map: config.os_miss_map.then(AddressHistogram::paper),
-            os_cross_miss_map: config.os_miss_map.then(AddressHistogram::paper),
-            os_block_misses: config.block_misses.then(|| vec![0u64; os_blocks]),
-            app_block_misses: config.block_misses.then(|| vec![0u64; app_blocks]),
-            per_address: config.os_miss_map,
+            detail: config.miss_detail.then(|| MissDetail {
+                os_miss_map: AddressHistogram::paper(),
+                os_self_miss_map: AddressHistogram::paper(),
+                os_cross_miss_map: AddressHistogram::paper(),
+                os_block_misses: vec![0; os_blocks],
+                app_block_misses: vec![0; app_blocks],
+            }),
             telemetry,
         }
     }
@@ -185,70 +195,23 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             Domain::Os => self.os_layout,
             Domain::App => self.app_layout.expect("app block but no app layout"),
         };
-        let base = layout.addr(id);
-        // Without per-address miss maps the per-word outcomes are not
-        // observed, so the whole block fetch goes through the cache's
-        // line-run path (identical stats and state, bulk-counted hits).
-        if !self.per_address {
-            let missed = self
-                .cache
-                .access_words(base, layout.fetch_words(id), domain);
-            if missed > 0 {
-                match domain {
-                    Domain::Os => {
-                        if let Some(v) = self.os_block_misses.as_mut() {
-                            v[id.index()] += missed;
-                        }
-                    }
-                    Domain::App => {
-                        if let Some(v) = self.app_block_misses.as_mut() {
-                            v[id.index()] += missed;
-                        }
-                    }
-                }
-            }
+        let (base, words) = (layout.addr(id), layout.fetch_words(id));
+        let Some(detail) = self.detail.as_mut() else {
+            self.cache.access_words(base, words, domain, &mut |_, _| {});
             return;
-        }
-        let mut missed = 0u64;
-        for w in 0..layout.fetch_words(id) {
-            let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
-            let outcome = self.cache.access(addr, domain);
-            if let oslay_cache::AccessOutcome::Miss(kind) = outcome {
-                missed += 1;
+        };
+        let missed = self
+            .cache
+            .access_words(base, words, domain, &mut |addr, kind| {
                 if domain == Domain::Os {
-                    if let Some(map) = self.os_miss_map.as_mut() {
-                        map.add(addr);
-                    }
-                    match kind {
-                        oslay_cache::MissKind::OsSelf => {
-                            if let Some(map) = self.os_self_miss_map.as_mut() {
-                                map.add(addr);
-                            }
-                        }
-                        oslay_cache::MissKind::OsByApp => {
-                            if let Some(map) = self.os_cross_miss_map.as_mut() {
-                                map.add(addr);
-                            }
-                        }
-                        _ => {}
-                    }
+                    detail.add_os_miss(addr, kind);
                 }
-            }
-        }
-        if missed > 0 {
-            match domain {
-                Domain::Os => {
-                    if let Some(v) = self.os_block_misses.as_mut() {
-                        v[id.index()] += missed;
-                    }
-                }
-                Domain::App => {
-                    if let Some(v) = self.app_block_misses.as_mut() {
-                        v[id.index()] += missed;
-                    }
-                }
-            }
-        }
+            });
+        let blocks = match domain {
+            Domain::Os => &mut detail.os_block_misses,
+            Domain::App => &mut detail.app_block_misses,
+        };
+        blocks[id.index()] += missed;
     }
 
     /// Finishes the replay, reading the final statistics off the cache.
@@ -261,13 +224,24 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             tl.finish(&cache_snapshot(&*self.cache));
             self.cache.set_telemetry(false);
         }
-        SimResult {
-            stats: *self.cache.stats(),
-            os_miss_map: self.os_miss_map,
-            os_self_miss_map: self.os_self_miss_map,
-            os_cross_miss_map: self.os_cross_miss_map,
-            os_block_misses: self.os_block_misses,
-            app_block_misses: self.app_block_misses,
+        let stats = *self.cache.stats();
+        match self.detail {
+            Some(d) => SimResult {
+                stats,
+                os_miss_map: Some(d.os_miss_map),
+                os_self_miss_map: Some(d.os_self_miss_map),
+                os_cross_miss_map: Some(d.os_cross_miss_map),
+                os_block_misses: Some(d.os_block_misses),
+                app_block_misses: Some(d.app_block_misses),
+            },
+            None => SimResult {
+                stats,
+                os_miss_map: None,
+                os_self_miss_map: None,
+                os_cross_miss_map: None,
+                os_block_misses: None,
+                app_block_misses: None,
+            },
         }
     }
 }
@@ -323,7 +297,7 @@ fn multi_snapshot(sim: &MultiSim) -> CacheSnapshot {
         accesses: stats.total_accesses(),
         os_accesses: stats.accesses(Domain::Os),
         misses: stats.total_misses(),
-        cold_misses: stats.misses(oslay_cache::MissKind::Cold),
+        cold_misses: stats.misses(MissKind::Cold),
         probe: None,
     }
 }

@@ -883,14 +883,21 @@ impl InstructionCache for AttributedCache {
     /// access per line, then the line's remaining words are bulk-counted
     /// as the hits they must be. A hit on the MRU line changes nothing
     /// but the access tallies — the shadow store already holds the line
-    /// at its MRU end, and hits reach no miss rollup — so the report and
-    /// the stats equal the per-word loop's.
-    fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+    /// at its MRU end, and hits reach no miss rollup — so the report, the
+    /// stats and the reported misses equal the per-word loop's.
+    fn access_words(
+        &mut self,
+        base: u64,
+        words: u32,
+        domain: Domain,
+        on_miss: &mut dyn FnMut(u64, crate::MissKind),
+    ) -> u64 {
         let mut missed = 0u64;
         for (addr, run) in line_runs(base, words, self.inner.config().line()) {
             let detail = self.attribute(addr, domain);
-            if detail.outcome.is_miss() {
+            if let AccessOutcome::Miss(kind) = detail.outcome {
                 missed += 1;
+                on_miss(addr, kind);
             }
             let rest = u64::from(run) - 1;
             if rest > 0 {
@@ -1444,15 +1451,23 @@ mod tests {
                     } else {
                         Domain::App
                     };
-                    let fast = coalesced.access_words(base, words, domain);
-                    let mut slow = 0u64;
+                    let mut reported = Vec::new();
+                    let fast = coalesced.access_words(base, words, domain, &mut |addr, kind| {
+                        reported.push((addr, kind));
+                    });
+                    let mut oracle = Vec::new();
                     for w in 0..words {
                         let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
-                        if per_word.access(addr, domain).is_miss() {
-                            slow += 1;
+                        if let AccessOutcome::Miss(kind) = per_word.access(addr, domain) {
+                            oracle.push((addr, kind));
                         }
                     }
-                    assert_eq!(fast, slow, "line {line} ways {ways} step {step}");
+                    assert_eq!(
+                        fast,
+                        oracle.len() as u64,
+                        "line {line} ways {ways} step {step}"
+                    );
+                    assert_eq!(reported, oracle, "line {line} ways {ways} step {step}");
                     assert_eq!(coalesced.stats(), per_word.stats());
                 }
                 assert_eq!(

@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 mod attribution;
-mod census;
 mod config;
 mod multisim;
 #[doc(hidden)]
@@ -38,7 +37,6 @@ pub use attribution::{
     AttributionReport, CodeClass, CodeRef, ConflictMatrix, ConflictPair, MatrixCell, PairDelta,
     RoutineKey, ShadowTags, CENSUS_SLOTS,
 };
-pub use census::SetCensus;
 pub use config::CacheConfig;
 pub use multisim::MultiSim;
 pub use reserved::ReservedCache;
@@ -57,19 +55,32 @@ pub trait InstructionCache: std::fmt::Debug {
     fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome;
 
     /// Simulates `words` consecutive instruction-word fetches starting at
-    /// `base` and returns the number that missed.
+    /// `base`, calls `on_miss(address, kind)` for each fetch that missed,
+    /// and returns the number that missed. Callers that only want the
+    /// count pass a no-op.
     ///
-    /// Exactly equivalent to calling [`InstructionCache::access`] once per
-    /// word (and this default does just that); implementations may exploit
-    /// the sequentiality — after the first fetch of a cache line the
-    /// remaining words of that line are guaranteed hits that leave the
-    /// replacement state untouched, so they can be bulk-counted.
-    fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+    /// This is the one way a trace replay reaches a cache. This default
+    /// is the oracle semantics: one [`InstructionCache::access`] per
+    /// word, reporting each missing word. Every organization in this
+    /// crate overrides it with line runs ([`line_runs`]): after the first
+    /// fetch of a cache line the line is resident and most-recently-used,
+    /// so the line's remaining words are guaranteed hits that leave the
+    /// replacement state untouched and can be bulk-counted. Only a run's
+    /// first word can miss, so the misses reported (address and kind)
+    /// are exactly the oracle's. Only test caches rely on the default.
+    fn access_words(
+        &mut self,
+        base: u64,
+        words: u32,
+        domain: Domain,
+        on_miss: &mut dyn FnMut(u64, MissKind),
+    ) -> u64 {
         let mut missed = 0u64;
         for w in 0..words {
             let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
-            if matches!(self.access(addr, domain), AccessOutcome::Miss(_)) {
+            if let AccessOutcome::Miss(kind) = self.access(addr, domain) {
                 missed += 1;
+                on_miss(addr, kind);
             }
         }
         missed

@@ -495,7 +495,7 @@ mod tests {
         random_stream(0x51EE7, 20_000, 6 * 1024, |base, words, domain| {
             multi.access_words(base, words, domain);
             for c in &mut dense {
-                c.access_words(base, words, domain);
+                c.access_words(base, words, domain, &mut |_, _| {});
             }
         });
         for (pi, c) in dense.iter().enumerate() {
@@ -548,7 +548,7 @@ mod tests {
         random_stream(0x9B1D, 40_000, 64 * 1024, |base, words, domain| {
             multi.access_words(base, words, domain);
             for c in &mut dense {
-                c.access_words(base, words, domain);
+                c.access_words(base, words, domain, &mut |_, _| {});
             }
             multi
                 .check_invariants()
@@ -570,7 +570,7 @@ mod tests {
         random_stream(0x0CC, 15_000, 6 * 1024, |base, words, domain| {
             multi.access_words(base, words, domain);
             for (_, c) in &mut probed {
-                c.access_words(base, words, domain);
+                c.access_words(base, words, domain, &mut |_, _| {});
             }
         });
         for (pi, (reg, c)) in probed.iter().enumerate() {
@@ -802,7 +802,7 @@ mod tests {
                 };
                 multi.access_words(base, words, domain);
                 for c in &mut dense {
-                    c.access_words(base, words, domain);
+                    c.access_words(base, words, domain, &mut |_, _| {});
                 }
                 for (r, stats) in &mut refs {
                     for w in 0..words {

@@ -10,10 +10,10 @@
 
 use std::ops::Range;
 
-use oslay_model::Domain;
+use oslay_model::{Domain, WORD_BYTES};
 use oslay_observe::Probe;
 
-use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
+use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissKind, MissStats};
 
 /// A small reserved OS cache in front of a main cache.
 #[derive(Clone, Debug)]
@@ -114,6 +114,43 @@ impl InstructionCache for ReservedCache {
         outcome
     }
 
+    /// An OS fetch is split on the words where the reserved range starts
+    /// and ends: the words before it and after it go to the main cache,
+    /// the words inside it to the small one, each piece as line runs. An
+    /// application fetch goes to the main cache whole.
+    fn access_words(
+        &mut self,
+        base: u64,
+        words: u32,
+        domain: Domain,
+        on_miss: &mut dyn FnMut(u64, MissKind),
+    ) -> u64 {
+        let word = u64::from(WORD_BYTES);
+        // Words of the fetch whose address lies below `addr`.
+        let below = |addr: u64| {
+            addr.saturating_sub(base)
+                .div_ceil(word)
+                .min(u64::from(words)) as u32
+        };
+        let (lo, hi) = match domain {
+            Domain::Os => {
+                let lo = below(self.reserved.start);
+                (lo, below(self.reserved.end).max(lo))
+            }
+            Domain::App => (words, words),
+        };
+        let at = |w: u32| base + u64::from(w) * word;
+        let stats = &mut self.stats;
+        self.main
+            .access_words_into(stats, base, lo, domain, on_miss)
+            + self
+                .small
+                .access_words_into(stats, at(lo), hi - lo, domain, on_miss)
+            + self
+                .main
+                .access_words_into(stats, at(hi), words - hi, domain, on_miss)
+    }
+
     fn stats(&self) -> &MissStats {
         &self.stats
     }
@@ -199,6 +236,48 @@ mod tests {
         assert_eq!(reg.gauge("cache.reserved.hit_rate"), Some(0.5));
         assert_eq!(reg.counter("cache.reserved.accesses"), 2);
         assert_eq!(reg.counter("cache.reserved.misses"), 1);
+    }
+
+    #[test]
+    fn access_words_matches_per_word_loop() {
+        use oslay_model::rng::Rng;
+        // Range ends neither line- nor word-aligned relative to the
+        // byte-granular fetch bases, so fetches straddle both ends.
+        for (seed, reserved) in [(1u64, 0x16..0x1f5), (2, 0x3..0x9), (3, 0x40..0x40)] {
+            let mut coalesced = complex();
+            coalesced.reserved = reserved.clone();
+            let mut per_word = coalesced.clone();
+            let mut rng = Rng::seed_from_u64(seed);
+            for step in 0..4_000u32 {
+                let base = u64::from(rng.gen_range(0..0x300u32));
+                let words = 1 + rng.gen_range(0..20u32);
+                let domain = if rng.gen_range(0..3u32) == 0 {
+                    Domain::App
+                } else {
+                    Domain::Os
+                };
+                let mut reported = Vec::new();
+                let fast = coalesced.access_words(base, words, domain, &mut |addr, kind| {
+                    reported.push((addr, kind));
+                });
+                let mut oracle = Vec::new();
+                for w in 0..words {
+                    let addr = base + u64::from(w) * u64::from(WORD_BYTES);
+                    if let AccessOutcome::Miss(kind) = per_word.access(addr, domain) {
+                        oracle.push((addr, kind));
+                    }
+                }
+                let at = format!("{reserved:?} step {step}");
+                assert_eq!(fast, oracle.len() as u64, "{at}");
+                assert_eq!(reported, oracle, "{at}");
+                assert_eq!(coalesced.stats(), per_word.stats(), "{at}");
+                assert_eq!(
+                    coalesced.reserved_stats(),
+                    per_word.reserved_stats(),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

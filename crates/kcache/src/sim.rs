@@ -506,6 +506,25 @@ impl Cache {
     pub(crate) fn record_run_hits(&mut self, domain: Domain, n: u64) {
         self.stats.record_hits(domain, n);
     }
+
+    /// [`InstructionCache::access_words`] for a cache that is one part of
+    /// a cache complex ([`crate::SplitCache`], [`crate::ReservedCache`]):
+    /// the complex's own `stats` tally the same outcomes as this cache's.
+    pub(crate) fn access_words_into(
+        &mut self,
+        stats: &mut MissStats,
+        base: u64,
+        words: u32,
+        domain: Domain,
+        on_miss: &mut dyn FnMut(u64, MissKind),
+    ) -> u64 {
+        let missed = self.access_words(base, words, domain, &mut |addr, kind| {
+            stats.record(domain, AccessOutcome::Miss(kind));
+            on_miss(addr, kind);
+        });
+        stats.record_hits(domain, u64::from(words) - missed);
+        missed
+    }
 }
 
 impl InstructionCache for Cache {
@@ -520,19 +539,34 @@ impl InstructionCache for Cache {
     /// touches every key in `first..=last` exactly once, in order. The
     /// clock advances once per line, as one [`Cache::access`] per line
     /// run would; the fetch's `words - missed` hits are counted in one
-    /// step, since every word but a line's first is a guaranteed hit.
-    fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+    /// step, since every word but a line's first is a guaranteed hit. A
+    /// miss is reported at its line run's first word: `base` for the
+    /// first line, else the first word at or past the line's start.
+    fn access_words(
+        &mut self,
+        base: u64,
+        words: u32,
+        domain: Domain,
+        on_miss: &mut dyn FnMut(u64, MissKind),
+    ) -> u64 {
         if words == 0 {
             return 0;
         }
+        let word = u64::from(WORD_BYTES);
         let first = base >> self.line_shift;
-        let last = (base + u64::from(words - 1) * u64::from(WORD_BYTES)) >> self.line_shift;
+        let last = (base + u64::from(words - 1) * word) >> self.line_shift;
         debug_assert_ne!(last, TAG_EMPTY, "address in the topmost line");
         let mut missed = 0u64;
         for key in first..last + 1 {
             if !self.touch_line(key) {
-                self.fill(key, domain);
+                let (kind, _) = self.fill(key, domain);
                 missed += 1;
+                let addr = if key == first {
+                    base
+                } else {
+                    base + ((key << self.line_shift) - base).div_ceil(word) * word
+                };
+                on_miss(addr, kind);
             }
         }
         self.stats.record_hits(domain, u64::from(words) - missed);
@@ -936,14 +970,19 @@ mod tests {
                     } else {
                         Domain::App
                     };
-                    let fast = coalesced.access_words(base, words, domain);
+                    let mut reported = Vec::new();
+                    let fast = coalesced.access_words(base, words, domain, &mut |addr, kind| {
+                        reported.push((addr, kind));
+                    });
                     let mut slow = 0u64;
+                    let mut oracle = Vec::new();
                     let mut prev_key = None;
                     for w in 0..u64::from(words) {
                         let addr = base + w * word;
                         let detail = per_word.access_detailed(addr, domain);
-                        if detail.outcome.is_miss() {
+                        if let AccessOutcome::Miss(kind) = detail.outcome {
                             slow += 1;
+                            oracle.push((addr, kind));
                         }
                         tally.add(domain, detail);
                         let key = addr >> shift;
@@ -962,6 +1001,7 @@ mod tests {
                     }
                     let at = format!("{cfg} step {step}");
                     assert_eq!(fast, slow, "{at}");
+                    assert_eq!(reported, oracle, "{at}: miss addresses and kinds");
                     assert_eq!(coalesced.stats(), per_word.stats(), "{at}");
                     assert_eq!(coalesced.stats(), per_line.stats(), "{at}");
                     assert_eq!(

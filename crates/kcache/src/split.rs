@@ -10,7 +10,7 @@
 
 use oslay_model::Domain;
 
-use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
+use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissKind, MissStats};
 
 /// Two half-size caches, one per domain.
 #[derive(Clone, Debug)]
@@ -60,6 +60,21 @@ impl InstructionCache for SplitCache {
         outcome
     }
 
+    /// The whole fetch goes to its domain's half, as line runs.
+    fn access_words(
+        &mut self,
+        base: u64,
+        words: u32,
+        domain: Domain,
+        on_miss: &mut dyn FnMut(u64, MissKind),
+    ) -> u64 {
+        let half = match domain {
+            Domain::Os => &mut self.os,
+            Domain::App => &mut self.app,
+        };
+        half.access_words_into(&mut self.stats, base, words, domain, on_miss)
+    }
+
     fn stats(&self) -> &MissStats {
         &self.stats
     }
@@ -106,6 +121,37 @@ mod tests {
         split.access(0, Domain::Os);
         split.access(64, Domain::Os);
         assert!(split.access(0, Domain::Os).is_miss());
+    }
+
+    #[test]
+    fn access_words_matches_per_word_loop() {
+        use oslay_model::rng::Rng;
+        let mut coalesced = SplitCache::halves_of(CacheConfig::new(256, 16, 2));
+        let mut per_word = coalesced.clone();
+        let mut rng = Rng::seed_from_u64(7);
+        for step in 0..4_000u32 {
+            let base = u64::from(rng.gen_range(0..0x400u32));
+            let words = 1 + rng.gen_range(0..20u32);
+            let domain = if rng.gen_range(0..2u32) == 0 {
+                Domain::App
+            } else {
+                Domain::Os
+            };
+            let mut reported = Vec::new();
+            let fast = coalesced.access_words(base, words, domain, &mut |addr, kind| {
+                reported.push((addr, kind));
+            });
+            let mut oracle = Vec::new();
+            for w in 0..words {
+                let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
+                if let AccessOutcome::Miss(kind) = per_word.access(addr, domain) {
+                    oracle.push((addr, kind));
+                }
+            }
+            assert_eq!(fast, oracle.len() as u64, "step {step}");
+            assert_eq!(reported, oracle, "step {step}");
+            assert_eq!(coalesced.stats(), per_word.stats(), "step {step}");
+        }
     }
 
     #[test]

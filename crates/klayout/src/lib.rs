@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod address;
 mod base;
 mod call_opt;
 mod chang_hwu;
@@ -39,7 +38,6 @@ mod opts;
 mod seq;
 mod summary;
 
-pub use address::{fetch_stream, FetchStream};
 pub use base::base_layout;
 pub use call_opt::{call_opt_layout, CallOptParams};
 pub use chang_hwu::{chang_hwu_audited, chang_hwu_layout};

@@ -1,10 +1,9 @@
-//! Edge cases of the trace→fetch-stream mapping in `klayout::address`:
+//! Edge cases of the block→fetch-address mapping (`Layout::fetch_addrs`):
 //! zero-word and minimal blocks, spans abutting a logical-cache boundary,
 //! and blocks whose final chunk is a partial word.
 
-use oslay_layout::{fetch_stream, Layout, LayoutBuilder};
+use oslay_layout::{Layout, LayoutBuilder};
 use oslay_model::{BlockId, Domain, Program, ProgramBuilder, SeedKind, Terminator, WORD_BYTES};
-use oslay_trace::TraceEvent;
 
 const LOGICAL_CACHE: u64 = 8192;
 
@@ -52,11 +51,12 @@ fn layout_at(program: &Program, placed: &[(BlockId, u64)]) -> Layout {
     b.finish().expect("edge layout places every block")
 }
 
-fn os_event(id: BlockId) -> TraceEvent {
-    TraceEvent::Block {
-        id,
-        domain: Domain::Os,
-    }
+/// The word fetches of executing `blocks` in order.
+fn fetches(layout: &Layout, blocks: &[BlockId]) -> Vec<u64> {
+    blocks
+        .iter()
+        .flat_map(|&id| layout.fetch_addrs(id))
+        .collect()
 }
 
 #[test]
@@ -68,14 +68,13 @@ fn zero_words_fetch_nothing_and_one_byte_fetches_one_word() {
     assert_eq!(oslay_model::fetch_words(0), 0);
     let (program, ids) = sized_program(&[1, 8]);
     let layout = layout_at(&program, &[(ids[0], 4096), (ids[1], 4200)]);
-    let events = [os_event(ids[0]), os_event(ids[1])];
-    let fetches: Vec<(u64, Domain)> = fetch_stream(&events, &layout, None).collect();
+    let fetches = fetches(&layout, &ids);
     assert_eq!(fetches.len(), 3, "one word for the 1-byte block, two for 8");
-    assert_eq!(fetches[0].0, 4096);
-    assert_eq!(fetches[1].0, 4200);
-    assert_eq!(fetches[2].0, 4200 + u64::from(WORD_BYTES));
+    assert_eq!(fetches[0], 4096);
+    assert_eq!(fetches[1], 4200);
+    assert_eq!(fetches[2], 4200 + u64::from(WORD_BYTES));
     assert_eq!(layout.fetch_words(ids[0]), 1);
-    assert_eq!(layout.fetch_addrs(ids[0]).count(), 1);
+    assert_eq!(layout.fetch_words(ids[1]), 2);
 }
 
 #[test]
@@ -85,16 +84,15 @@ fn final_partial_word_fetches_exactly_once() {
     let (program, ids) = sized_program(&[21]);
     let base = 4096u64;
     let layout = layout_at(&program, &[(ids[0], base)]);
-    let events = [os_event(ids[0])];
-    let fetches: Vec<u64> = fetch_stream(&events, &layout, None)
-        .map(|(addr, _)| addr)
-        .collect();
+    let fetches = fetches(&layout, &ids);
     assert_eq!(fetches.len(), 6);
+    assert_eq!(fetches.len() as u32, layout.fetch_words(ids[0]));
     assert_eq!(*fetches.last().unwrap(), base + 20);
     assert!(fetches.iter().all(|&a| a < base + 24));
-    // The iterator and the layout's own per-block view must agree.
-    let direct: Vec<u64> = layout.fetch_addrs(ids[0]).collect();
-    assert_eq!(fetches, direct);
+    // Consecutive words are contiguous.
+    assert!(fetches
+        .windows(2)
+        .all(|w| w[1] == w[0] + u64::from(WORD_BYTES)));
 }
 
 #[test]
@@ -107,10 +105,7 @@ fn span_abutting_logical_cache_boundary_stays_inside_it() {
         &program,
         &[(ids[0], LOGICAL_CACHE - 32), (ids[1], LOGICAL_CACHE)],
     );
-    let events = [os_event(ids[0]), os_event(ids[1])];
-    let fetches: Vec<u64> = fetch_stream(&events, &layout, None)
-        .map(|(addr, _)| addr)
-        .collect();
+    let fetches = fetches(&layout, &ids);
     assert_eq!(fetches.len(), 16);
     let (a, b) = fetches.split_at(8);
     assert!(a.iter().all(|&addr| addr < LOGICAL_CACHE));

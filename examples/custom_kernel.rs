@@ -16,13 +16,14 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
-use oslay::cache::{Cache, CacheConfig, InstructionCache};
-use oslay::layout::{base_layout, fetch_stream, optimize_os, OptParams};
+use oslay::cache::{Cache, CacheConfig};
+use oslay::layout::{base_layout, optimize_os, OptParams};
 use oslay::model::{
     BranchTarget, Domain, Program, ProgramBuilder, RoutineId, SeedKind, Terminator,
 };
 use oslay::profile::{LoopAnalysis, Profile};
 use oslay::trace::{Engine, EngineConfig, WorkloadSpec};
+use oslay::{Replayer, SimConfig};
 
 /// One straight-line routine of `n` blocks of `size` bytes each.
 fn straight(b: &mut ProgramBuilder, name: &str, n: usize, size: u32) -> RoutineId {
@@ -123,14 +124,12 @@ fn main() {
         ),
     ] {
         let mut cache = Cache::new(cache_cfg);
-        let mut misses = 0u64;
-        let mut fetches = 0u64;
-        for (addr, domain) in fetch_stream(trace.events(), &layout, None) {
-            fetches += 1;
-            if cache.access(addr, domain).is_miss() {
-                misses += 1;
-            }
+        let mut replayer = Replayer::new(&layout, None, &mut cache, &SimConfig::fast(), 0, 0);
+        for &event in trace.events() {
+            replayer.on_event(event);
         }
+        let stats = replayer.finish().stats;
+        let (misses, fetches) = (stats.total_misses(), stats.total_accesses());
         println!("  {label:<5} {misses:>7} misses / {fetches} fetches");
         results.push(misses);
     }

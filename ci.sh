@@ -221,66 +221,45 @@ fi
 grep -q "corrupt block" "$tmpdir/verify_err.txt"
 rm -rf "$tmpdir"
 
-echo "== sweep engine gate: single-pass vs per-point, 1 and 2 workers =="
+echo "== sweep engine gate: fig15 and fig17 at 1 and 2 workers =="
+# The plan executor settles these multi-configuration grids in one
+# MultiSim pass per (workload, layout pair). Their rendered figures and
+# deterministic run reports must not depend on the worker count. That
+# the single-pass results equal per-point replay is checked point by
+# point, registry included, by crates/bench/tests/multisim.rs (fig15,
+# fig16, fig17 and design grids at 1 and 2 workers).
 tmpdir="$(mktemp -d)"
 repo_root="$PWD"
-for mode in single-pass per-point; do
-  for t in 1 2; do
-    d="$tmpdir/${mode}_t$t"
-    mkdir -p "$d/results"
-    (
-      cd "$d"
-      cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
-        -p oslay-bench --bin fig15_cache_size_speedup -- \
-        --scale tiny --threads "$t" "--$mode" > stdout.txt 2> /dev/null
-    )
-  done
-done
-# The rendered figure must be byte-identical across modes and worker
-# counts...
-for v in single-pass_t2 per-point_t1 per-point_t2; do
-  diff "$tmpdir/single-pass_t1/stdout.txt" "$tmpdir/$v/stdout.txt"
-done
-# ...the run report must be worker-count invariant within each mode (wall
-# clock and allocator telemetry aside)...
 nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
-for mode in single-pass per-point; do
-  diff <(grep -vE "$nondet" "$tmpdir/${mode}_t1/results/fig15_cache_size_speedup.json") \
-       <(grep -vE "$nondet" "$tmpdir/${mode}_t2/results/fig15_cache_size_speedup.json")
-done
-# ...and across modes every figure section and metric must agree; only
-# the phase-span counts may differ (single-pass records one replay pass
-# per case, per-point one per grid point).
-crossdet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes|count)"'
-diff <(grep -vE "$crossdet" "$tmpdir/single-pass_t1/results/fig15_cache_size_speedup.json") \
-     <(grep -vE "$crossdet" "$tmpdir/per-point_t1/results/fig15_cache_size_speedup.json")
-rm -rf "$tmpdir"
-
-echo "== sweep engine gate: fig17 (several banks, 8-way) across modes and workers =="
-# The same three diffs as the fig15 gate, on the grid that spans four line
-# sizes (four banks) and 1-8 ways (one level per set count, 8 deep).
-tmpdir="$(mktemp -d)"
-for mode in single-pass per-point; do
+for bin in fig15_cache_size_speedup fig17_line_assoc; do
   for t in 1 2; do
-    d="$tmpdir/${mode}_t$t"
+    d="$tmpdir/${bin}_t$t"
     mkdir -p "$d/results"
     (
       cd "$d"
       cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
-        -p oslay-bench --bin fig17_line_assoc -- \
-        --scale tiny --threads "$t" "--$mode" > stdout.txt 2> /dev/null
+        -p oslay-bench --bin "$bin" -- \
+        --scale tiny --threads "$t" > stdout.txt 2> /dev/null
     )
   done
+  diff "$tmpdir/${bin}_t1/stdout.txt" "$tmpdir/${bin}_t2/stdout.txt"
+  diff <(grep -vE "$nondet" "$tmpdir/${bin}_t1/results/$bin.json") \
+       <(grep -vE "$nondet" "$tmpdir/${bin}_t2/results/$bin.json")
 done
-for v in single-pass_t2 per-point_t1 per-point_t2; do
-  diff "$tmpdir/single-pass_t1/stdout.txt" "$tmpdir/$v/stdout.txt"
+# The engine follows from the grid alone: the sweep binaries take no
+# mode flag, and the removed ones are usage errors (exit 2).
+for bin in fig15_cache_size_speedup fig16_selfconffree_size fig17_line_assoc; do
+  for flag in --single-pass --per-point; do
+    status=0
+    cargo run --release -q -p oslay-bench --bin "$bin" -- "$flag" \
+      > /dev/null 2> "$tmpdir/flag_err.txt" || status=$?
+    if [ "$status" -ne 2 ]; then
+      echo "$bin $flag exited $status (want 2)" >&2
+      exit 1
+    fi
+    grep -q "unknown argument \"$flag\"" "$tmpdir/flag_err.txt"
+  done
 done
-for mode in single-pass per-point; do
-  diff <(grep -vE "$nondet" "$tmpdir/${mode}_t1/results/fig17_line_assoc.json") \
-       <(grep -vE "$nondet" "$tmpdir/${mode}_t2/results/fig17_line_assoc.json")
-done
-diff <(grep -vE "$crossdet" "$tmpdir/single-pass_t1/results/fig17_line_assoc.json") \
-     <(grep -vE "$crossdet" "$tmpdir/per-point_t1/results/fig17_line_assoc.json")
 rm -rf "$tmpdir"
 
 echo "== telemetry gate: inert probes, worker-invariant timeline, dash 0/1 =="

@@ -18,13 +18,16 @@
 //!   `trace_bytes_per_event` land in the derived section.
 //! - `matrix_1t` / `matrix_nt`: the Figure-12 style 4-case × 5-level
 //!   simulation matrix at 1 vs `--threads` workers; their ratio is the
-//!   `parallel_speedup` derived field.
+//!   `parallel_speedup` derived field. Both (and the ratio) are measured
+//!   only when `--threads` exceeds 1; otherwise `matrix_1t` alone.
 //! - `sweep_per_point` / `sweep_single_pass`: the committed design-space
 //!   grid (4 KB–256 KB at 1–8 ways on 32-byte lines, plus 64/128-byte
-//!   lines at 8 KB, under Base/C-H/OptS) replayed point by point vs
-//!   evaluated in one trace pass per (workload, layout) (`oslay_cache::MultiSim`);
-//!   their ratio is the `sweep_speedup` derived field, recorded at every
-//!   scale but smoke (a ~1k-block trace measures only setup overhead).
+//!   lines at 8 KB, under Base/C-H/OptS) replayed point by point through
+//!   the `run_sweep` reference vs through the plan executor, which
+//!   settles it in one trace pass per (workload, layout)
+//!   (`oslay_cache::MultiSim`); both at `--threads` workers. Their ratio
+//!   is the `sweep_speedup` derived field, recorded at every scale but
+//!   smoke (a ~1k-block trace measures only setup overhead).
 //! - `search_score`: the layout-search inner loop in isolation — a
 //!   single hill-climbing walk from the OptS seed; `events` counts
 //!   incremental objective evaluations (trial applies), so the rate is
@@ -46,8 +49,8 @@ use std::time::Instant;
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_bench::{
-    apply_run_args, exit_usage, flag_int, flag_value, run_figure12_matrix, run_sweep_mode,
-    scale_name, try_parse_run_args, AppSide, SweepPoint,
+    apply_run_args, execute, exit_usage, flag_int, flag_value, run_figure12_matrix, run_sweep,
+    run_sweep_single_pass, scale_name, try_parse_run_args, AppSide, Plan, SweepPoint,
 };
 use oslay_observe::MetricRegistry;
 use oslay_perf::alloc;
@@ -200,19 +203,18 @@ fn sweep_grid(study: &Study) -> Vec<SweepPoint> {
     points
 }
 
-/// One full sweep of the grid in the given mode; returns total accesses
-/// summed over every grid point (the per-point replay touches each
-/// access once per point, so both modes report the same event count).
-fn run_sweep_bench(study: &Study, sim: &SimConfig, threads: usize, single_pass: bool) -> u64 {
+/// One full sweep of the grid, through the per-point `run_sweep`
+/// reference or through the executor; returns total accesses summed over
+/// every grid point (the per-point replay touches each access once per
+/// point, so both report the same event count).
+fn run_sweep_bench(study: &Study, sim: &SimConfig, threads: usize, executor: bool) -> u64 {
     let registry = Arc::new(MetricRegistry::new());
-    let results = run_sweep_mode(
-        study,
-        sweep_grid(study),
-        sim,
-        threads,
-        &registry,
-        single_pass,
-    );
+    let sweep = if executor {
+        run_sweep_single_pass
+    } else {
+        run_sweep
+    };
+    let results = sweep(study, sweep_grid(study), sim, threads, &registry);
     results.iter().map(|r| r.stats.total_accesses()).sum()
 }
 
@@ -255,17 +257,13 @@ fn main() {
     }
 
     // Attributed replay: exercises the shadow-store (conflict/capacity) path.
+    let mut attr_plan = Plan::attributed(SimConfig::fast());
+    let os = attr_plan.share(os_base.clone());
+    attr_plan.push(3, os, AppSide::Base, cfg, "Shell/Base".to_owned());
     report.push_case(measure("attr_base", || {
-        let (r, _) = oslay_bench::run_attributed_on(
-            &study,
-            shell,
-            &os_base,
-            app.as_ref(),
-            cfg,
-            &SimConfig::fast(),
-            None,
-        );
-        r.stats.total_accesses()
+        let registry = Arc::new(MetricRegistry::new());
+        let outcomes = execute(&study, &attr_plan, 1, &registry).expect("live plan");
+        outcomes[0].result.stats.total_accesses()
     }));
 
     // The tracestore codec, isolated from disk: encode Shell's stream
@@ -294,23 +292,29 @@ fn main() {
     report.push_derived("trace_compression_ratio", store_summary.compression_ratio());
     report.push_derived("trace_bytes_per_event", store_summary.bytes_per_event());
 
-    // The sharded experiment matrix at one worker vs the requested count.
+    // The sharded experiment matrix at one worker vs the requested count
+    // (a second one-worker run would only repeat the first).
     let one = measure("matrix_1t", || run_matrix(&study, &sim, 1));
-    let many = measure(&format!("matrix_{}t", args.threads), || {
-        run_matrix(&study, &sim, args.threads)
-    });
-    let speedup = if many.secs > 0.0 {
-        one.secs / many.secs
-    } else {
-        0.0
-    };
+    let one_secs = one.secs;
     report.push_case(one);
-    report.push_case(many);
-    report.push_derived("parallel_speedup", speedup);
+    let speedup = (args.threads > 1).then(|| {
+        let many = measure(&format!("matrix_{}t", args.threads), || {
+            run_matrix(&study, &sim, args.threads)
+        });
+        let speedup = if many.secs > 0.0 {
+            one_secs / many.secs
+        } else {
+            0.0
+        };
+        report.push_case(many);
+        report.push_derived("parallel_speedup", speedup);
+        speedup
+    });
 
-    // The committed design-space grid, replayed per point vs in one
-    // pass per workload. Both run at the requested worker count; the
-    // derived ratio is the single-pass engine's wall-clock advantage.
+    // The committed design-space grid, replayed per point vs through the
+    // executor (one pass per lane). Both run at the requested worker
+    // count; the derived ratio is the single-pass engine's wall-clock
+    // advantage.
     // Tiny traces are all constant overhead — no consolidation to
     // measure — so the gated derived field is only recorded at real
     // scales (the smoke run still prints the observed ratio).
@@ -398,10 +402,12 @@ fn main() {
     let text = std::fs::read_to_string(&args.out).expect("re-read bench report");
     validate(&text).expect("bench report validates against schema");
     println!();
-    println!(
-        "parallel speedup at {} thread(s): {:.2}x",
-        args.threads, speedup
-    );
+    if let Some(speedup) = speedup {
+        println!(
+            "parallel speedup at {} thread(s): {speedup:.2}x",
+            args.threads
+        );
+    }
     println!("single-pass sweep speedup: {sweep_speedup:.2}x");
     println!(
         "trace store: {:.2}x over fixed-width ({:.2} B/event)",

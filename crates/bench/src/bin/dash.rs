@@ -9,7 +9,8 @@
 //! rendered as a single self-contained HTML+SVG page (no external
 //! scripts, fonts, or network), an ASCII terminal view (`--term`), or a
 //! strict validator (`--check`, the CI gate: exit 0 iff every telemetry
-//! file passes schema and monotonicity validation).
+//! file passes schema and monotonicity validation, 1 when one fails it,
+//! 2 when none is given or one cannot be read).
 //!
 //! ```text
 //! dash --check --telemetry results/telemetry.json
@@ -116,12 +117,15 @@ fn main() -> ExitCode {
 }
 
 /// The `--check` gate: every telemetry file must read and validate.
+/// Exits 1 when a document is invalid, and 2 — the missing-input code,
+/// which takes precedence — when none is given or one cannot be read.
 fn check(args: &Args) -> ExitCode {
     if args.telemetry.is_empty() {
         eprintln!("dash --check: no --telemetry files given");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
     let mut ok = true;
+    let mut missing = false;
     for path in &args.telemetry {
         match std::fs::read_to_string(path) {
             Ok(text) => match validate_telemetry(&text) {
@@ -140,11 +144,13 @@ fn check(args: &Args) -> ExitCode {
             },
             Err(e) => {
                 eprintln!("{}: unreadable — {e}", path.display());
-                ok = false;
+                missing = true;
             }
         }
     }
-    if ok {
+    if missing {
+        ExitCode::from(2)
+    } else if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

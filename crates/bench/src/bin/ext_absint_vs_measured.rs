@@ -28,7 +28,7 @@ use oslay::cache::CacheConfig;
 use oslay::layout::{optimize_os, BlockClass, OptParams};
 use oslay::{OsLayoutKind, SimConfig, Study};
 use oslay_bench::absint_gate::classify_study_layout;
-use oslay_bench::{banner, run_args, run_attributed_matrix, Reporter};
+use oslay_bench::{banner, execute, rows, run_args, Outcome, Plan, Reporter};
 use oslay_verify::{LayoutView, LineClass};
 
 fn class_label(c: BlockClass) -> &'static str {
@@ -64,13 +64,12 @@ fn main() {
     );
 
     let kinds = [OsLayoutKind::Base, OsLayoutKind::OptS];
-    let matrix = run_attributed_matrix(
-        &study,
-        &kinds,
-        cfg,
-        &SimConfig::full(),
-        args.threads,
-        &registry,
+    let mut plan = Plan::attributed(SimConfig::full());
+    plan.push_kinds(&study, &kinds, cfg);
+    let outcomes = execute(&study, &plan, args.threads, &registry).expect("live plan");
+    let matrix = rows(
+        outcomes.into_iter().map(Outcome::attributed).collect(),
+        kinds.len(),
     );
 
     for (k, &kind) in kinds.iter().enumerate() {

@@ -20,7 +20,8 @@ use oslay::model::BlockId;
 use oslay::profile::{LoopAnalysis, Profile};
 use oslay::trace::{Engine, EngineConfig};
 use oslay::{OsLayoutKind, Replayer, SimConfig, Study};
-use oslay_bench::{banner, config_from_args, run_case, AppSide};
+use oslay_bench::{banner, config_from_args, execute, AppSide, Plan};
+use oslay_observe::MetricRegistry;
 
 fn main() {
     let config = config_from_args();
@@ -68,14 +69,12 @@ fn main() {
             continue; // compare on the OS-only workload for a clean read
         }
         // Plain OptS baseline on the original kernel.
-        let orig = run_case(
-            &study,
-            case,
-            OsLayoutKind::OptS,
-            AppSide::Base,
-            cfg,
-            &SimConfig::fast(),
-        );
+        let mut plan = Plan::plain(SimConfig::fast());
+        let os = plan.share(study.os_layout(OsLayoutKind::OptS, cfg.size()));
+        let label = format!("{}/OptS", case.name());
+        plan.push(i, os, AppSide::Base, cfg, label);
+        let registry = std::sync::Arc::new(MetricRegistry::new());
+        let orig = &execute(&study, &plan, 1, &registry).expect("live plan")[0].result;
 
         // Trace the inlined kernel with the same spec and engine seed.
         let mut engine = Engine::new(

@@ -11,12 +11,14 @@
 use oslay::analysis::report::{f, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{config_from_args, run_case, AppSide};
+use oslay_bench::{execute, run_args, AppSide, Plan};
+use oslay_observe::MetricRegistry;
 
 const SEEDS: [u64; 4] = [0x05_1995, 0xBEEF, 0x1234_5678, 0xFEED_F00D];
 
 fn main() {
-    let mut config = config_from_args();
+    let args = run_args();
+    let mut config = args.config;
     // Keep the multi-seed sweep affordable: a quarter of the usual trace
     // per seed still leaves ~300k OS blocks each at paper scale.
     config.os_blocks /= 4;
@@ -43,14 +45,21 @@ fn main() {
             seed,
             ..config.clone()
         });
+        let mut plan = Plan::plain(SimConfig::fast());
         for (wi, case) in study.cases().iter().enumerate() {
-            let mut base = None;
-            for (li, &kind) in kinds.iter().enumerate() {
-                let misses = run_case(&study, case, kind, AppSide::Base, cfg, &SimConfig::fast())
-                    .stats
-                    .total_misses();
-                let b = *base.get_or_insert(misses);
-                norms[wi][li].push(misses as f64 / b as f64 * 100.0);
+            for &kind in &kinds {
+                let os = plan.share(study.os_layout(kind, cfg.size()));
+                let label = format!("{}/{}", case.name(), kind.name());
+                plan.push(wi, os, AppSide::Base, cfg, label);
+            }
+        }
+        let registry = std::sync::Arc::new(MetricRegistry::new());
+        let outcomes = execute(&study, &plan, args.threads, &registry).expect("live plan");
+        for (wi, row) in outcomes.chunks(kinds.len()).enumerate() {
+            let base = row[0].result.stats.total_misses();
+            for (li, o) in row.iter().enumerate() {
+                let misses = o.result.stats.total_misses();
+                norms[wi][li].push(misses as f64 / base as f64 * 100.0);
             }
         }
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use oslay::analysis::report::{f, pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_attributed_matrix};
+use oslay_bench::{banner, execute, rows, run_args, Outcome, Plan};
 use oslay_observe::MetricRegistry;
 
 fn main() {
@@ -36,13 +36,13 @@ fn main() {
         .iter()
         .map(|&kind| (study.os_layout(kind, cfg.size()).scf_bytes / u64::from(cfg.line())) as usize)
         .collect();
-    let matrix = run_attributed_matrix(
-        &study,
-        &kinds,
-        cfg,
-        &SimConfig::fast(),
-        args.threads,
-        &Arc::new(MetricRegistry::new()),
+    let mut plan = Plan::attributed(SimConfig::fast());
+    plan.push_kinds(&study, &kinds, cfg);
+    let registry = Arc::new(MetricRegistry::new());
+    let outcomes = execute(&study, &plan, args.threads, &registry).expect("live plan");
+    let matrix = rows(
+        outcomes.into_iter().map(Outcome::attributed).collect(),
+        kinds.len(),
     );
 
     for (case, row) in study.cases().iter().zip(&matrix) {

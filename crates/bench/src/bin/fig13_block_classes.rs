@@ -18,7 +18,7 @@ use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::layout::{optimize_os, OptParams};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_attributed_matrix, Reporter};
+use oslay_bench::{banner, execute, rows, run_args, Outcome, Plan, Reporter};
 
 fn main() {
     let args = run_args();
@@ -43,13 +43,12 @@ fn main() {
         OsLayoutKind::OptS,
         OsLayoutKind::OptL,
     ];
-    let matrix = run_attributed_matrix(
-        &study,
-        &kinds,
-        CacheConfig::paper_default(),
-        &SimConfig::full(),
-        args.threads,
-        &registry,
+    let mut plan = Plan::attributed(SimConfig::full());
+    plan.push_kinds(&study, &kinds, CacheConfig::paper_default());
+    let outcomes = execute(&study, &plan, args.threads, &registry).expect("live plan");
+    let matrix = rows(
+        outcomes.into_iter().map(Outcome::attributed).collect(),
+        kinds.len(),
     );
     for (case, row) in study.cases().iter().zip(&matrix) {
         println!("{}:", case.name());

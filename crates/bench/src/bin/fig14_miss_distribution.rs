@@ -19,7 +19,7 @@ use oslay::analysis::report::{bar_chart, pct};
 use oslay::cache::CacheConfig;
 use oslay::model::BlockId;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_attributed_matrix, Reporter};
+use oslay_bench::{banner, execute, rows, run_args, Outcome, Plan, Reporter};
 use oslay_observe::AttrClass;
 
 fn main() {
@@ -39,13 +39,12 @@ fn main() {
         OsLayoutKind::ChangHwu,
         OsLayoutKind::OptS,
     ];
-    let matrix = run_attributed_matrix(
-        &study,
-        &kinds,
-        CacheConfig::paper_default(),
-        &SimConfig::full(),
-        args.threads,
-        &registry,
+    let mut plan = Plan::attributed(SimConfig::full());
+    plan.push_kinds(&study, &kinds, CacheConfig::paper_default());
+    let outcomes = execute(&study, &plan, args.threads, &registry).expect("live plan");
+    let matrix = rows(
+        outcomes.into_iter().map(Outcome::attributed).collect(),
+        kinds.len(),
     );
     for (ki, &kind) in kinds.iter().enumerate() {
         let mut map = AddressHistogram::paper();

@@ -7,27 +7,17 @@
 //! removes a further 19–38% of C-H's remainder for 4–16 KB caches and ties
 //! C-H at 32 KB (the cache then holds the working set); with a 30-cycle
 //! penalty the speedups are in the 10–25% range, peaking at 8 KB.
-//!
-//! Extra flags: `--single-pass` (default) evaluates the whole grid in one
-//! trace pass per (workload, layout pair); `--per-point` replays each
-//! point separately.
-//! Output is byte-identical either way.
 
 use std::sync::Arc;
 
 use oslay::analysis::report::{f, pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::perf::ExecTimeModel;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{
-    banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, Reporter, SweepPoint,
-};
+use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, Reporter, SweepPoint};
 
 fn main() {
-    let mut single_pass = true;
-    let args = run_args_with(StudyConfig::paper(), |arg, _| {
-        sweep_mode_arg(arg, &mut single_pass)
-    });
+    let args = run_args();
     let config = args.config.clone();
     banner("Figure 15: miss rate vs cache size; speedup model", &config);
     let mut reporter = Reporter::new("fig15_cache_size_speedup");
@@ -70,14 +60,8 @@ fn main() {
             }
         }
     }
-    let results = run_sweep_mode(
-        &study,
-        points,
-        &SimConfig::fast(),
-        args.threads,
-        &registry,
-        single_pass,
-    );
+    let results =
+        run_sweep_single_pass(&study, points, &SimConfig::fast(), args.threads, &registry);
 
     // miss_rate[size][workload][layout]
     let mut rates = vec![vec![[0.0f64; 3]; study.cases().len()]; sizes.len()];

@@ -9,12 +9,6 @@
 //! of the same conflicts: 55% at direct-mapped, 41% at 8-way) — yet
 //! direct-mapped OptS still beats 8-way Base.
 //!
-//! Extra flags: `--single-pass` (default) evaluates each sweep's grid in
-//! one trace pass per (workload, layout) — sub-figure (a) spans four line
-//! sizes (four banked tag arrays side by side), sub-figure (b) four
-//! associativities on one level of per-set stacks; `--per-point` replays
-//! each point separately. Output is byte-identical either way.
-//!
 //! Writes `results/fig17_line_assoc.json` (both sweeps' cache metrics and
 //! one section of miss rates per row) without printing its path, so the
 //! text output keeps the shape of the committed capture.
@@ -23,10 +17,8 @@ use std::sync::Arc;
 
 use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::CacheConfig;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{
-    banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, Reporter, SweepPoint,
-};
+use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, Reporter, SweepPoint};
 use oslay_layout::Layout;
 
 const KINDS: [OsLayoutKind; 3] = [
@@ -39,7 +31,6 @@ fn sweep(
     study: &Study,
     configs: &[(String, CacheConfig)],
     threads: usize,
-    single_pass: bool,
     reporter: &mut Reporter,
     figure: &str,
 ) {
@@ -62,13 +53,12 @@ fn sweep(
             }
         }
     }
-    let results = run_sweep_mode(
+    let results = run_sweep_single_pass(
         study,
         points,
         &SimConfig::fast(),
         threads,
         &reporter.registry(),
-        single_pass,
     );
 
     let mut results = results.into_iter();
@@ -96,10 +86,7 @@ fn sweep(
 }
 
 fn main() {
-    let mut single_pass = true;
-    let args = run_args_with(StudyConfig::paper(), |arg, _| {
-        sweep_mode_arg(arg, &mut single_pass)
-    });
+    let args = run_args();
     let config = args.config;
     banner(
         "Figure 17: line-size and associativity sweeps (8KB)",
@@ -113,14 +100,7 @@ fn main() {
         .iter()
         .map(|&l| (format!("{l}B-line"), CacheConfig::new(8192, l, 1)))
         .collect();
-    sweep(
-        &study,
-        &lines,
-        args.threads,
-        single_pass,
-        &mut reporter,
-        "fig17a",
-    );
+    sweep(&study, &lines, args.threads, &mut reporter, "fig17a");
     println!();
 
     println!("(b) Associativity (32B lines):");
@@ -128,14 +108,7 @@ fn main() {
         .iter()
         .map(|&w| (format!("{w}-way"), CacheConfig::new(8192, 32, w)))
         .collect();
-    sweep(
-        &study,
-        &ways,
-        args.threads,
-        single_pass,
-        &mut reporter,
-        "fig17b",
-    );
+    sweep(&study, &ways, args.threads, &mut reporter, "fig17b");
     let _report = reporter.finish();
     oslay_bench::flush_trace();
 }

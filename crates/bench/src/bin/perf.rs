@@ -11,6 +11,7 @@
 //! violation (missing phase, unbalanced `B`/`E`, backwards timestamps,
 //! spans escaping their parents). The other subcommands render a quick
 //! terminal view of the same file Perfetto/`chrome://tracing` would load.
+//! A usage error or an unreadable `--in` file exits 2.
 
 use std::process::ExitCode;
 
@@ -74,7 +75,7 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             eprintln!("perf: cannot read {}: {e}", args.input.display());
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let stats = match validate_chrome_trace(&text) {

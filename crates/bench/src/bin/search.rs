@@ -30,8 +30,8 @@ use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_bench::{
-    apply_run_args, banner, exit_usage, flag_int, flag_value, run_attributed_matrix,
-    run_attributed_row, run_layout_search, try_parse_run_args, Reporter,
+    apply_run_args, banner, execute, exit_usage, flag_int, flag_value, rows, run_layout_search,
+    try_parse_run_args, AppSide, Outcome, Plan, Reporter,
 };
 use oslay_search::{ObjectiveWeights, SearchParams};
 
@@ -193,8 +193,23 @@ fn main() {
         OsLayoutKind::OptS,
         OsLayoutKind::OptL,
     ];
-    let matrix = run_attributed_matrix(&study, &kinds, cfg, &sim, args.threads, &registry);
-    let row = run_attributed_row(&study, &searched.os, cfg, &sim, args.threads, &registry);
+    let attributed = |plan: &Plan| -> Vec<(oslay::SimResult, oslay::cache::AttributionReport)> {
+        execute(&study, plan, args.threads, &registry)
+            .expect("live plan")
+            .into_iter()
+            .map(Outcome::attributed)
+            .collect()
+    };
+    let mut plan = Plan::attributed(sim);
+    plan.push_kinds(&study, &kinds, cfg);
+    let matrix = rows(attributed(&plan), kinds.len());
+    let mut plan = Plan::attributed(sim);
+    let os = plan.share(searched.os.clone());
+    for (c, case) in study.cases().iter().enumerate() {
+        let label = format!("{}/Search", case.name());
+        plan.push(c, std::sync::Arc::clone(&os), AppSide::Base, cfg, label);
+    }
+    let row = attributed(&plan);
     println!("Attributed replay, miss rate % (8KB direct-mapped, app side Base):");
     let mut table = TextTable::new(["Workload", "Base", "C-H", "OptS", "OptL", "Search"]);
     let mut beats = 0usize;

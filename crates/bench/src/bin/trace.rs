@@ -17,6 +17,10 @@
 //! `--live`); its stdout and `--out` report are byte-identical between
 //! the two sources and at any worker count, which is what the CI
 //! reproducibility gate diffs.
+//!
+//! Exit codes: 0 on success, 1 when a store is corrupt or its contents
+//! fail a check, 2 on a usage error or a missing input (archive
+//! directory or store file).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -87,8 +91,23 @@ fn main() -> ExitCode {
     code
 }
 
+/// Exit 2: the input named on the command line does not exist.
+const MISSING_INPUT: u8 = 2;
+
+/// The exit code for a store error: a store file that does not exist is
+/// a missing input (2); anything wrong inside one is a failed check (1).
+fn store_exit(e: &StoreError) -> ExitCode {
+    match e {
+        StoreError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
+            ExitCode::from(MISSING_INPUT)
+        }
+        _ => ExitCode::FAILURE,
+    }
+}
+
 /// The archive files to operate on: the explicit `--file` list, or every
-/// `.otr` under `--dir`, name-sorted for stable output.
+/// `.otr` under `--dir`, name-sorted for stable output. Failing to find
+/// any is a missing input.
 fn target_files(dir: &Path, files: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
     if !files.is_empty() {
         return Ok(files.to_vec());
@@ -154,7 +173,7 @@ fn inspect(dir: &Path, files: &[PathBuf]) -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             eprintln!("trace inspect: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(MISSING_INPUT);
         }
     };
     summary_header();
@@ -167,7 +186,7 @@ fn inspect(dir: &Path, files: &[PathBuf]) -> ExitCode {
             Ok(reader) => summary_row(&name, &reader.summary()),
             Err(e) => {
                 eprintln!("trace inspect: {name}: {e}");
-                return ExitCode::FAILURE;
+                return store_exit(&e);
             }
         }
     }
@@ -214,7 +233,7 @@ fn verify(args: &RunArgs, dir: &Path, files: &[PathBuf]) -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             eprintln!("trace verify: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(MISSING_INPUT);
         }
     };
     for path in &targets {
@@ -231,7 +250,7 @@ fn verify(args: &RunArgs, dir: &Path, files: &[PathBuf]) -> ExitCode {
             ),
             Err(e) => {
                 eprintln!("trace verify: {name}: {e}");
-                return ExitCode::FAILURE;
+                return store_exit(&e);
             }
         }
     }
@@ -268,6 +287,10 @@ fn print_matrix(study: &Study, matrix: &[Vec<SimResult>], report: &mut RunReport
 }
 
 fn replay(args: &RunArgs, dir: &Path, live: bool, out: Option<&Path>) -> ExitCode {
+    if !live && !dir.is_dir() {
+        eprintln!("trace replay: no archive directory {}", dir.display());
+        return ExitCode::from(MISSING_INPUT);
+    }
     banner(
         "Trace replay: Figure-12 matrix from archived streams",
         &args.config,
@@ -289,7 +312,7 @@ fn replay(args: &RunArgs, dir: &Path, live: bool, out: Option<&Path>) -> ExitCod
             Ok(m) => m,
             Err(e) => {
                 eprintln!("trace replay: {e}");
-                return ExitCode::FAILURE;
+                return store_exit(&e);
             }
         }
     };

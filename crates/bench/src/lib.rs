@@ -2,7 +2,7 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper. They share command-line handling (`--scale tiny|small|paper`,
-//! `--blocks N`, `--seed N`) and a couple of evaluation drivers.
+//! `--blocks N`, `--seed N`) and one replay executor, [`plan`].
 //!
 //! Run, e.g.:
 //!
@@ -17,22 +17,19 @@ pub mod absint_gate;
 pub mod archive;
 pub mod diag;
 pub mod digest;
+pub mod plan;
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use oslay::cache::{
-    AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig, InstructionCache,
-};
-use oslay::{
-    MultiReplayer, OsLayout, OsLayoutKind, SimConfig, SimResult, Study, StudyConfig, WorkloadCase,
-};
+use oslay::cache::{AttributionReport, CacheConfig};
+use oslay::{OsLayout, OsLayoutKind, SimConfig, SimResult, Study, StudyConfig, WorkloadCase};
 use oslay_layout::Layout;
 use oslay_model::synth::Scale;
-use oslay_model::Domain;
-use oslay_observe::timeline;
-use oslay_observe::{global_recorder, AttributionProbe, MetricRegistry, RunReport};
+use oslay_observe::{global_recorder, MetricRegistry, RunReport};
+
+pub use plan::{execute, rows, Outcome, Plan};
 
 /// Every experiment binary counts allocations: the counting allocator is
 /// a pair of relaxed atomic adds on top of the system allocator, cheap
@@ -286,106 +283,14 @@ pub enum AppSide {
     ChangHwu,
 }
 
-/// Builds the application layout a ladder level pairs with a case (`None`
-/// for app-free workloads like Shell).
-#[must_use]
-pub fn app_layout_for(
-    study: &Study,
-    case: &WorkloadCase,
-    app_side: AppSide,
-    cache_size: u32,
-) -> Option<Layout> {
-    match app_side {
-        AppSide::Base => study.app_base_layout(case),
-        AppSide::Optimized => study.app_opt_layout(case, cache_size),
-        AppSide::ChangHwu => study.app_ch_layout(case),
-    }
-}
-
-/// Evaluates one workload under one OS layout kind on a unified cache.
-#[must_use]
-pub fn run_case(
-    study: &Study,
-    case: &WorkloadCase,
-    os_kind: OsLayoutKind,
-    app_side: AppSide,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-) -> SimResult {
-    let os = study.os_layout(os_kind, cache_cfg.size());
-    let app = app_layout_for(study, case, app_side, cache_cfg.size());
-    let mut cache = Cache::new(cache_cfg);
-    let _t = timeline::scope(
-        timeline::group(),
-        0,
-        format!("{}/{}", case.name(), os_kind.name()),
-    );
-    study.simulate(case, &os.layout, app.as_ref(), &mut cache, sim)
-}
-
-/// Like [`run_case`], but with precomputed layouts: after the replay,
-/// posts the cache's miss/eviction counts and a final set-occupancy
-/// snapshot into `registry` ([`Cache::report_into`]), so the run report
-/// carries `cache.*` metrics alongside the aggregate statistics.
+/// Replays one workload under one OS layout kind through the attribution
+/// engine — a one-point attributed [`Plan`] — returning the usual
+/// [`SimResult`] plus the [`AttributionReport`]: every miss classified
+/// compulsory/capacity/conflict and charged to its cache set, Figure 13
+/// block class, OS entry class and, for conflicts, its evictor→victim
+/// pair.
 ///
-/// Sharded drivers call this directly with memoized layouts (building an
-/// OS layout is far more expensive than replaying a tiny trace through
-/// it) and a per-job registry.
-#[must_use]
-pub fn run_probed_on(
-    study: &Study,
-    case: &WorkloadCase,
-    os_layout: &Layout,
-    app_layout: Option<&Layout>,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    registry: &Arc<MetricRegistry>,
-) -> SimResult {
-    let mut cache = Cache::new(cache_cfg);
-    let result = study.simulate(case, os_layout, app_layout, &mut cache, sim);
-    cache.report_into(registry.as_ref());
-    result
-}
-
-/// Like [`run_case`], but posts the cache's miss/eviction counts and a
-/// final set-occupancy snapshot into `registry` after the replay
-/// ([`run_probed_on`]), so the run report carries `cache.*` metrics
-/// alongside the aggregate statistics.
-#[must_use]
-pub fn run_case_probed(
-    study: &Study,
-    case: &WorkloadCase,
-    os_kind: OsLayoutKind,
-    app_side: AppSide,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    registry: &Arc<MetricRegistry>,
-) -> SimResult {
-    let os = study.os_layout(os_kind, cache_cfg.size());
-    let app = app_layout_for(study, case, app_side, cache_cfg.size());
-    let _t = timeline::scope(
-        timeline::group(),
-        0,
-        format!("{}/{}", case.name(), os_kind.name()),
-    );
-    run_probed_on(
-        study,
-        case,
-        &os.layout,
-        app.as_ref(),
-        cache_cfg,
-        sim,
-        registry,
-    )
-}
-
-/// Like [`run_case`], but through the attribution engine: every miss is
-/// classified compulsory/capacity/conflict, charged to its cache set,
-/// Figure 13 block class, OS entry class, and (for conflicts) its
-/// evictor→victim pair. Returns the usual [`SimResult`] plus the
-/// [`AttributionReport`].
-///
-/// When `registry` is given, each classified miss also streams into it as
+/// When `registry` is given, each classified miss also lands in it as
 /// `cache.attr.*` metrics.
 #[must_use]
 pub fn run_case_attributed(
@@ -397,67 +302,36 @@ pub fn run_case_attributed(
     sim: &SimConfig,
     registry: Option<&Arc<MetricRegistry>>,
 ) -> (SimResult, AttributionReport) {
-    let os = study.os_layout(os_kind, cache_cfg.size());
-    let app = app_layout_for(study, case, app_side, cache_cfg.size());
-    let _t = timeline::scope(
-        timeline::group(),
-        0,
-        format!("{}/{}", case.name(), os_kind.name()),
-    );
-    run_attributed_on(study, case, &os, app.as_ref(), cache_cfg, sim, registry)
+    let mut plan = Plan::attributed(*sim);
+    let os = plan.share(study.os_layout(os_kind, cache_cfg.size()));
+    let c = study
+        .cases()
+        .iter()
+        .position(|c| std::ptr::eq(c, case))
+        .expect("the case belongs to the study");
+    let label = format!("{}/{}", case.name(), os_kind.name());
+    plan.push(c, os, app_side, cache_cfg, label);
+    let scratch = Arc::new(MetricRegistry::new());
+    let mut outcomes = live(study, &plan, 1, registry.unwrap_or(&scratch));
+    outcomes.remove(0).attributed()
 }
 
-/// Like [`run_case_attributed`], but with precomputed layouts (the
-/// sharded drivers memoize each [`OsLayout`] once and fan the replay jobs
-/// out over it).
-#[must_use]
-pub fn run_attributed_on(
+/// Executes a plan whose source is live, which cannot fail.
+fn live(
     study: &Study,
-    case: &WorkloadCase,
-    os: &OsLayout,
-    app: Option<&Layout>,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    registry: Option<&Arc<MetricRegistry>>,
-) -> (SimResult, AttributionReport) {
-    let mut spans = oslay_layout::layout_spans(
-        &study.kernel().program,
-        &os.layout,
-        Domain::Os,
-        os.classes.as_deref(),
-    );
-    if let (Some(app_layout), Some(app_program)) = (app, case.app.as_ref()) {
-        // App and OS address spaces are disjoint, so one map holds both.
-        spans.extend(oslay_layout::layout_spans(
-            app_program,
-            app_layout,
-            Domain::App,
-            None,
-        ));
-    }
-    let map = Arc::new(AddressMap::build(spans));
-    let mut cache = match registry {
-        Some(reg) => {
-            let probe: Arc<dyn AttributionProbe + Send + Sync> = Arc::clone(reg) as _;
-            AttributedCache::with_probe(Cache::new(cache_cfg), map, probe)
-        }
-        None => AttributedCache::new(Cache::new(cache_cfg), map),
-    };
-    let result = study.simulate(case, &os.layout, app, &mut cache, sim);
-    (result, cache.report())
+    plan: &Plan,
+    threads: usize,
+    registry: &Arc<MetricRegistry>,
+) -> Vec<Outcome> {
+    execute(study, plan, threads, registry).expect("a live plan reads no store")
 }
 
 /// Runs the whole Figure-12 matrix — every workload × every ladder level
 /// — over up to `threads` workers, returning `results[case][level]`.
 ///
-/// The OS layout of each distinct kind is built once, on the caller's
-/// thread, and shared read-only by the replay jobs (building a layout
-/// costs far more than replaying a small trace through it). Each job
-/// records its cache events into a private registry; the shards are
-/// folded into `registry` in job-index order — counters and histograms
-/// merge commutatively and gauges overwrite in the fixed order — so the
-/// final registry state is identical at any worker count, and equal to a
-/// sequential run's.
+/// A plain [`Plan`] of [`figure12_ladder`] on one cache organization, so
+/// [`execute`] replays each point on its own cache; each replay posts its
+/// `cache.*` counters, folded into `registry` in point order.
 #[must_use]
 pub fn run_figure12_matrix(
     study: &Study,
@@ -466,66 +340,18 @@ pub fn run_figure12_matrix(
     threads: usize,
     registry: &Arc<MetricRegistry>,
 ) -> Vec<Vec<SimResult>> {
+    let mut plan = Plan::plain(*sim);
     let ladder = figure12_ladder();
-    let mut kinds: Vec<OsLayoutKind> = Vec::new();
-    for &(_, kind, _) in &ladder {
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-    let layouts: Vec<(OsLayoutKind, OsLayout)> = kinds
+    plan.push_ladder(study, &ladder, cache_cfg);
+    let results = live(study, &plan, threads, registry)
         .into_iter()
-        .map(|kind| (kind, study.os_layout(kind, cache_cfg.size())))
+        .map(|o| o.result)
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..study.cases().len())
-        .flat_map(|c| (0..ladder.len()).map(move |l| (c, l)))
-        .collect();
-    // One merge group for the whole matrix, allocated before the fan-out
-    // so timeline runs land in job-index order at any worker count.
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, (c, l)| {
-        let case = &study.cases()[c];
-        let (level, kind, side) = ladder[l];
-        let _t = timeline::scope(group, i as u64, format!("{}/{level}", case.name()));
-        let os = &layouts
-            .iter()
-            .find(|&&(k, _)| k == kind)
-            .expect("every ladder kind is memoized")
-            .1;
-        let app = app_layout_for(study, case, side, cache_cfg.size());
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_probed_on(
-            study,
-            case,
-            &os.layout,
-            app.as_ref(),
-            cache_cfg,
-            sim,
-            &shard,
-        );
-        (r, shard)
-    });
-    let mut results: Vec<Vec<SimResult>> = Vec::with_capacity(study.cases().len());
-    let mut sharded = sharded.into_iter();
-    for _ in 0..study.cases().len() {
-        let mut row = Vec::with_capacity(figure12_ladder().len());
-        for _ in 0..figure12_ladder().len() {
-            let (r, shard) = sharded.next().expect("one result per job");
-            registry.merge_from(&shard);
-            row.push(r);
-        }
-        results.push(row);
-    }
-    results
+    rows(results, ladder.len())
 }
 
 /// One evaluation point of a parameter sweep: a workload replayed under
 /// an explicit (possibly custom) OS layout and cache organization.
-///
-/// The sweep binaries (Figures 15–17) build their full point grids up
-/// front — memoizing each distinct layout in an [`Arc`] — and hand them
-/// to [`run_sweep`], which shards the replays exactly like
-/// [`run_figure12_matrix`].
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Index into [`Study::cases`].
@@ -539,13 +365,20 @@ pub struct SweepPoint {
     pub cache: CacheConfig,
 }
 
-/// Replays every sweep point over up to `threads` workers, returning one
-/// [`SimResult`] per point, in point order.
-///
-/// Same sharding contract as [`run_figure12_matrix`]: every job records
-/// into a private registry and the shards fold into `registry` in point
-/// order, so the registry state — and therefore the run report — is
-/// byte-identical at any worker count.
+/// The plain plan of a sweep grid, each point labelled `<case>@<cache>`.
+fn sweep_plan(study: &Study, points: Vec<SweepPoint>, sim: &SimConfig) -> Plan {
+    let mut plan = Plan::plain(*sim);
+    for p in points {
+        let label = format!("{}@{}", study.cases()[p.case].name(), p.cache);
+        plan.push(p.case, p.os, p.app, p.cache, label);
+    }
+    plan
+}
+
+/// The per-point reference for sweeps: replays every point on its own
+/// plain `Cache`, one job per point, returning one [`SimResult`] per
+/// point in point order. The differential tests and `bench_sim` compare
+/// [`execute`]'s single-pass lanes against it.
 #[must_use]
 pub fn run_sweep(
     study: &Study,
@@ -554,75 +387,18 @@ pub fn run_sweep(
     threads: usize,
     registry: &Arc<MetricRegistry>,
 ) -> Vec<SimResult> {
-    let apps = memoized_app_layouts(study, &points);
-    let jobs: Vec<(SweepPoint, Option<Arc<Layout>>)> = points.into_iter().zip(apps).collect();
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, (p, app)| {
-        let case = &study.cases()[p.case];
-        let _t = timeline::scope(group, i as u64, format!("{}@{}", case.name(), p.cache));
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_probed_on(study, case, &p.os, app.as_deref(), p.cache, sim, &shard);
-        (r, shard)
-    });
-    let mut out = Vec::with_capacity(sharded.len());
-    for (r, shard) in sharded {
-        registry.merge_from(&shard);
-        out.push(r);
-    }
-    out
-}
-
-/// Builds each distinct application layout a sweep grid needs exactly
-/// once, on the caller's thread, returning one (shared) layout per point
-/// in point order.
-///
-/// The memo key is `(case, app side, size key)`, where the cache size
-/// participates only for [`AppSide::Optimized`] — the Base and Chang–Hwu
-/// application layouts do not depend on it, so sweeping cache sizes
-/// reuses a single build. Points sharing a key share one [`Arc`], which
-/// the single-pass driver additionally relies on to group lanes.
-fn memoized_app_layouts(study: &Study, points: &[SweepPoint]) -> Vec<Option<Arc<Layout>>> {
-    type MemoKey = (usize, AppSide, u32);
-    let mut memo: Vec<(MemoKey, Option<Arc<Layout>>)> = Vec::new();
-    points
-        .iter()
-        .map(|p| {
-            let size_key = match p.app {
-                AppSide::Optimized => p.cache.size(),
-                AppSide::Base | AppSide::ChangHwu => 0,
-            };
-            let key = (p.case, p.app, size_key);
-            if let Some((_, hit)) = memo.iter().find(|(k, _)| *k == key) {
-                return hit.clone();
-            }
-            let built =
-                app_layout_for(study, &study.cases()[p.case], p.app, p.cache.size()).map(Arc::new);
-            memo.push((key, built.clone()));
-            built
-        })
+    let plan = sweep_plan(study, points, sim);
+    plan::execute_on(study, &plan, threads, registry, plan::Engine::Points)
+        .expect("a live plan reads no store")
+        .into_iter()
+        .map(|o| o.result)
         .collect()
 }
 
-/// Evaluates every sweep point in **one trace pass per layout pair**
-/// instead of one replay per point, returning exactly what [`run_sweep`]
-/// would: the same results and the same final registry state (hence
-/// byte-identical run-report metrics) at any worker count.
-///
-/// Points are partitioned into lanes: the points of one workload case
-/// sharing an (OS layout, app layout) pair, in first-appearance order.
-/// Each lane is one job that walks the case's buffered trace once through
-/// a [`MultiReplayer`], whose [`oslay::cache::MultiSim`] settles all cache
-/// organizations of that pair simultaneously — per-set-count LRU stacks
-/// across sizes/associativities sharing a line size, banked tag arrays
-/// across line sizes. Each grid point's cache events are then mirrored
-/// into a private registry shard and the shards fold into `registry` in
-/// global point order, the same merge contract as [`run_sweep`].
-///
-/// Only aggregate statistics can be collected this way: a [`SimConfig`]
-/// requesting [`SimConfig::miss_detail`] falls back to [`run_sweep`]
-/// (no committed sweep grid requests it). The timeline stream
-/// differs from per-point mode — one recorded run per lane rather than
-/// per point — but is itself worker-count-invariant.
+/// Evaluates every sweep point through [`execute`], returning exactly
+/// what [`run_sweep`] would: the same results and the same final
+/// registry state at any worker count. A grid spanning several cache
+/// organizations settles in one trace pass per (case, layout pair).
 #[must_use]
 pub fn run_sweep_single_pass(
     study: &Study,
@@ -631,199 +407,11 @@ pub fn run_sweep_single_pass(
     threads: usize,
     registry: &Arc<MetricRegistry>,
 ) -> Vec<SimResult> {
-    if sim.miss_detail {
-        return run_sweep(study, points, sim, threads, registry);
-    }
-    let apps = memoized_app_layouts(study, &points);
-
-    /// One lane: a workload case under one layout pair, the cache
-    /// organizations to evaluate under it and, per organization, the
-    /// global grid index its result belongs to.
-    struct Lane {
-        case: usize,
-        os: Arc<Layout>,
-        app: Option<Arc<Layout>>,
-        configs: Vec<CacheConfig>,
-        origin: Vec<usize>,
-    }
-    let mut lanes: Vec<Lane> = Vec::new();
-    for (gi, (p, app)) in points.iter().zip(&apps).enumerate() {
-        // Lane identity: same case, same OS layout (pointer fast path,
-        // then content) and same memoized app layout (pointer equality is
-        // exact: `memoized_app_layouts` shares one Arc per key).
-        let same_app = |l: &Lane| match (&l.app, app) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        let lane = match lanes.iter_mut().find(|l| {
-            l.case == p.case && (Arc::ptr_eq(&l.os, &p.os) || l.os == p.os) && same_app(l)
-        }) {
-            Some(l) => l,
-            None => {
-                lanes.push(Lane {
-                    case: p.case,
-                    os: Arc::clone(&p.os),
-                    app: app.clone(),
-                    configs: Vec::new(),
-                    origin: Vec::new(),
-                });
-                lanes.last_mut().expect("just pushed")
-            }
-        };
-        lane.configs.push(p.cache);
-        lane.origin.push(gi);
-    }
-
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, lanes, |i, lane| {
-        let case = &study.cases()[lane.case];
-        let _t = timeline::scope(group, i as u64, format!("{}@multi", case.name()));
-        let mut replayer = MultiReplayer::new(&lane.os, lane.app.as_deref(), &lane.configs);
-        {
-            // Feed the buffered trace — the same event source the
-            // per-point `Study::simulate` path iterates — rather than
-            // re-running the engine walk per lane.
-            use oslay::trace::TraceSink as _;
-            let _span = oslay_observe::span("study.sim");
-            for event in case.trace.events() {
-                replayer.event(*event);
-            }
-        }
-        let multi = replayer.finish();
-        // One (result, registry shard) per grid point of this lane,
-        // tagged with its global index for the ordered fold below.
-        lane.origin
-            .iter()
-            .enumerate()
-            .map(|(k, &gi)| {
-                let shard = Arc::new(MetricRegistry::new());
-                multi.report_into(k, shard.as_ref());
-                let result = SimResult {
-                    stats: multi.stats(k),
-                    os_miss_map: None,
-                    os_self_miss_map: None,
-                    os_cross_miss_map: None,
-                    os_block_misses: None,
-                    app_block_misses: None,
-                };
-                (gi, result, shard)
-            })
-            .collect::<Vec<_>>()
-    });
-
-    let n = apps.len();
-    let mut slots: Vec<Option<(SimResult, Arc<MetricRegistry>)>> = vec![None; n];
-    for (gi, r, shard) in sharded.into_iter().flatten() {
-        slots[gi] = Some((r, shard));
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        let (r, shard) = slot.expect("every grid point settled by its lane job");
-        registry.merge_from(&shard);
-        out.push(r);
-    }
-    out
-}
-
-/// Handles the sweep-mode flags shared by the fig15/16/17 binaries:
-/// `--single-pass` selects [`run_sweep_single_pass`] (their default),
-/// `--per-point` selects the legacy [`run_sweep`]. Returns whether the
-/// token was consumed, for use inside a [`run_args_with`] `extra`
-/// handler.
-pub fn sweep_mode_arg(arg: &str, single_pass: &mut bool) -> bool {
-    match arg {
-        "--single-pass" => {
-            *single_pass = true;
-            true
-        }
-        "--per-point" => {
-            *single_pass = false;
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Dispatches a sweep grid to [`run_sweep_single_pass`] or the per-point
-/// [`run_sweep`] according to the mode flag parsed by
-/// [`sweep_mode_arg`]. Results are identical either way; only wall-clock
-/// (and the timeline grouping) differs.
-#[must_use]
-pub fn run_sweep_mode(
-    study: &Study,
-    points: Vec<SweepPoint>,
-    sim: &SimConfig,
-    threads: usize,
-    registry: &Arc<MetricRegistry>,
-    single_pass: bool,
-) -> Vec<SimResult> {
-    if single_pass {
-        run_sweep_single_pass(study, points, sim, threads, registry)
-    } else {
-        run_sweep(study, points, sim, threads, registry)
-    }
-}
-
-/// Runs every workload under every OS layout kind in `kinds` through the
-/// attribution engine, over up to `threads` workers, returning
-/// `results[case][kind]` (the application always keeps its Base layout,
-/// as in Figures 13 and 14).
-///
-/// Same sharding contract as [`run_figure12_matrix`]: one memoized OS
-/// layout per kind, one private registry per job, shards folded into
-/// `registry` in job-index order so output is identical at any worker
-/// count.
-#[must_use]
-pub fn run_attributed_matrix(
-    study: &Study,
-    kinds: &[OsLayoutKind],
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    threads: usize,
-    registry: &Arc<MetricRegistry>,
-) -> Vec<Vec<(SimResult, AttributionReport)>> {
-    let layouts: Vec<OsLayout> = kinds
-        .iter()
-        .map(|&kind| study.os_layout(kind, cache_cfg.size()))
-        .collect();
-    let jobs: Vec<(usize, usize)> = (0..study.cases().len())
-        .flat_map(|c| (0..kinds.len()).map(move |k| (c, k)))
-        .collect();
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, (c, k)| {
-        let case = &study.cases()[c];
-        let _t = timeline::scope(
-            group,
-            i as u64,
-            format!("{}/{}", case.name(), kinds[k].name()),
-        );
-        let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_attributed_on(
-            study,
-            case,
-            &layouts[k],
-            app.as_ref(),
-            cache_cfg,
-            sim,
-            Some(&shard),
-        );
-        (r, shard)
-    });
-    let mut results: Vec<Vec<(SimResult, AttributionReport)>> =
-        Vec::with_capacity(study.cases().len());
-    let mut sharded = sharded.into_iter();
-    for _ in 0..study.cases().len() {
-        let mut row = Vec::with_capacity(kinds.len());
-        for _ in 0..kinds.len() {
-            let (r, shard) = sharded.next().expect("one result per job");
-            registry.merge_from(&shard);
-            row.push(r);
-        }
-        results.push(row);
-    }
-    results
+    let plan = sweep_plan(study, points, sim);
+    live(study, &plan, threads, registry)
+        .into_iter()
+        .map(|o| o.result)
+        .collect()
 }
 
 /// Materializes a searched [`LayoutView`](oslay_verify::LayoutView) back
@@ -876,8 +464,8 @@ pub struct SearchSelection {
 /// workloads), so a chosen candidate always matches or beats the seed
 /// on at least half the workloads, and never has more total misses.
 ///
-/// Deterministic at any `threads` (ordered [`oslay::exec::parallel_map`]
-/// fan-out, pure integer ranking).
+/// Deterministic at any `threads` (a plain [`Plan`], pure integer
+/// ranking).
 #[must_use]
 pub fn select_search_winner(
     study: &Study,
@@ -888,24 +476,20 @@ pub fn select_search_winner(
     threads: usize,
 ) -> SearchSelection {
     assert_eq!(candidates.len(), objectives.len());
-    let layouts: Vec<OsLayout> = candidates
+    let mut plan = Plan::plain(*sim);
+    for view in candidates {
+        let os = plan.share(searched_os_layout(study, view));
+        for (c, case) in study.cases().iter().enumerate() {
+            let label = format!("{}/{}", case.name(), view.name);
+            plan.push(c, Arc::clone(&os), AppSide::Base, cache_cfg, label);
+        }
+    }
+    let flat: Vec<u64> = live(study, &plan, threads, &Arc::new(MetricRegistry::new()))
         .iter()
-        .map(|v| searched_os_layout(study, v))
+        .map(|o| o.result.stats.total_misses())
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..candidates.len())
-        .flat_map(|k| (0..study.cases().len()).map(move |c| (k, c)))
-        .collect();
-    let flat = oslay::exec::parallel_map(threads, jobs, |_, (k, c)| {
-        let case = &study.cases()[c];
-        let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
-        let mut cache = Cache::new(cache_cfg);
-        study
-            .simulate(case, &layouts[k].layout, app.as_ref(), &mut cache, sim)
-            .stats
-            .total_misses()
-    });
     let cases = study.cases().len();
-    let misses: Vec<Vec<u64>> = flat.chunks(cases).map(<[u64]>::to_vec).collect();
+    let misses = rows(flat, cases);
     let worse_cases: Vec<usize> = misses
         .iter()
         .map(|row| row.iter().zip(&misses[0]).filter(|(m, b)| m > b).count())
@@ -980,40 +564,10 @@ pub fn run_layout_search(
     }
 }
 
-/// Attributed replay of one explicit OS layout across every workload
-/// (app side Base), sharded like [`run_attributed_matrix`] — used to
-/// rank a searched layout against the named kinds.
-#[must_use]
-pub fn run_attributed_row(
-    study: &Study,
-    os: &OsLayout,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    threads: usize,
-    registry: &Arc<MetricRegistry>,
-) -> Vec<(SimResult, AttributionReport)> {
-    let jobs: Vec<usize> = (0..study.cases().len()).collect();
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, c| {
-        let case = &study.cases()[c];
-        let _t = timeline::scope(group, i as u64, format!("{}/Search", case.name()));
-        let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_attributed_on(study, case, os, app.as_ref(), cache_cfg, sim, Some(&shard));
-        (r, shard)
-    });
-    let mut out = Vec::with_capacity(sharded.len());
-    for (r, shard) in sharded {
-        registry.merge_from(&shard);
-        out.push(r);
-    }
-    out
-}
-
 /// JSON run-report plumbing shared by the experiment binaries.
 ///
-/// Owns the [`MetricRegistry`] that probed caches feed
-/// ([`run_case_probed`]) and the [`RunReport`] under construction.
+/// Owns the [`MetricRegistry`] that executed plans feed ([`execute`])
+/// and the [`RunReport`] under construction.
 /// [`Reporter::finish`] folds in the global phase-span recorder and
 /// writes `results/<name>.json` beside the `.txt` capture of stdout.
 #[derive(Debug)]
@@ -1113,20 +667,6 @@ pub mod timing {
             None => println!("{name:<40} {median:>12.2?}"),
         }
     }
-}
-
-/// Evaluates one workload with explicit layouts on an arbitrary cache
-/// organization (used by the Sep/Resv experiment).
-#[must_use]
-pub fn run_case_on(
-    study: &Study,
-    case: &WorkloadCase,
-    os_layout: &Layout,
-    app_layout: Option<&Layout>,
-    cache: &mut dyn InstructionCache,
-    sim: &SimConfig,
-) -> SimResult {
-    study.simulate(case, os_layout, app_layout, cache, sim)
 }
 
 /// The layout ladder of Figure 12, with the app side each level uses.
@@ -1243,17 +783,14 @@ mod tests {
     }
 
     #[test]
-    fn run_case_smoke() {
+    fn one_point_plan_smoke() {
         let study = Study::generate(&StudyConfig::tiny());
-        let case = &study.cases()[3];
-        let r = run_case(
-            &study,
-            case,
-            OsLayoutKind::Base,
-            AppSide::Base,
-            CacheConfig::paper_default(),
-            &SimConfig::fast(),
-        );
+        let mut plan = Plan::plain(SimConfig::fast());
+        let os = plan.share(study.os_layout(OsLayoutKind::Base, 8192));
+        let cfg = CacheConfig::paper_default();
+        plan.push(3, os, AppSide::Base, cfg, "Shell/Base".to_owned());
+        let registry = Arc::new(MetricRegistry::new());
+        let r = &live(&study, &plan, 1, &registry)[0].result;
         assert!(r.stats.total_accesses() > 0);
         assert!(r.stats.misses(MissKind::OsSelf) > 0);
     }

@@ -1,6 +1,7 @@
 //! The CLI exit-code contract on bad input: a malformed command line is
-//! a usage error (exit 2, usage text on stderr, no panic), and a
-//! classification file that fails `analyze --check` is exit 1.
+//! a usage error (exit 2, usage text on stderr, no panic), a missing
+//! input file is exit 2, and a classification file that fails
+//! `analyze --check` is exit 1.
 
 use std::process::{Command, Output};
 
@@ -11,6 +12,8 @@ const FIG12: &str = env!("CARGO_BIN_EXE_fig12_optimization_levels");
 const SEARCH: &str = env!("CARGO_BIN_EXE_search");
 const BENCH_SIM: &str = env!("CARGO_BIN_EXE_bench_sim");
 const DIAG: &str = env!("CARGO_BIN_EXE_diag");
+const DASH: &str = env!("CARGO_BIN_EXE_dash");
+const PERF: &str = env!("CARGO_BIN_EXE_perf");
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -204,6 +207,77 @@ fn bad_invocations_are_usage_errors() {
             stderr.contains("common experiment flags"),
             "{bin} {args:?}: usage text missing from {stderr}"
         );
+    }
+}
+
+#[test]
+fn missing_inputs_exit_2() {
+    let cases: &[(&str, &[&str], &str)] = &[
+        (
+            DASH,
+            &["--check", "--telemetry", "cli_usage_missing_tel.json"],
+            "cli_usage_missing_tel.json: unreadable",
+        ),
+        (DASH, &["--check"], "no --telemetry files given"),
+        (
+            PERF,
+            &["check", "--in", "cli_usage_missing_trace.json"],
+            "cannot read cli_usage_missing_trace.json",
+        ),
+        (
+            PERF,
+            &["top", "--in", "cli_usage_missing_trace.json"],
+            "cannot read cli_usage_missing_trace.json",
+        ),
+        (
+            PERF,
+            &["timeline", "--in", "cli_usage_missing_trace.json"],
+            "cannot read cli_usage_missing_trace.json",
+        ),
+        (
+            TRACE,
+            &["verify", "--dir", "cli_usage_missing_archive"],
+            "cannot read archive directory cli_usage_missing_archive",
+        ),
+        (
+            TRACE,
+            &[
+                "replay",
+                "--scale",
+                "tiny",
+                "--dir",
+                "cli_usage_missing_archive",
+            ],
+            "no archive directory cli_usage_missing_archive",
+        ),
+    ];
+    for &(bin, args, message) in cases {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(message),
+            "{bin} {args:?}: want {message:?} in {stderr}"
+        );
+    }
+}
+
+#[test]
+fn invalid_inputs_keep_exit_1() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let broken = dir.join("cli_usage_broken_doc.json");
+    std::fs::write(&broken, "{\"truncated\":").expect("write temp file");
+    let broken = broken.to_str().expect("utf-8 path");
+    let cases: &[(&str, &[&str])] = &[
+        (DASH, &["--check", "--telemetry", broken]),
+        (PERF, &["check", "--in", broken]),
+    ];
+    for &(bin, args) in cases {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
 }
 

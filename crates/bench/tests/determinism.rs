@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{run_attributed_matrix, run_figure12_matrix};
+use oslay_bench::{execute, run_figure12_matrix, Outcome, Plan};
 use oslay_observe::MetricRegistry;
 
 fn study() -> Study {
@@ -44,28 +44,74 @@ fn figure12_matrix_is_identical_at_any_worker_count() {
     }
 }
 
+/// The Figure-13 shape: every case under Base and OptS (OptS carries a
+/// class map), through the attribution engine with full miss detail.
+fn attributed_plan(study: &Study) -> Plan {
+    let mut plan = Plan::attributed(SimConfig::full());
+    plan.push_kinds(
+        study,
+        &[OsLayoutKind::Base, OsLayoutKind::OptS],
+        CacheConfig::paper_default(),
+    );
+    plan
+}
+
+/// Asserts two executions of the same points agree on everything an
+/// attributed replay reports.
+fn assert_outcomes_equal(got: &[Outcome], want: &[Outcome], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: point count");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.result.stats, w.result.stats, "{what}: stats");
+        assert_eq!(g.result.os_block_misses, w.result.os_block_misses);
+        // AttributionReport is PartialEq: conflict pairs, matrix,
+        // per-set misses, census — the whole diagnosis must match.
+        assert!(g.attribution.is_some(), "{what}: attributed outcome");
+        assert_eq!(g.attribution, w.attribution, "{what}: attribution reports");
+    }
+}
+
 #[test]
 fn attributed_matrix_reports_are_identical_across_threads() {
     let study = study();
-    let cfg = CacheConfig::paper_default();
-    let sim = SimConfig::full();
-    let kinds = [OsLayoutKind::Base, OsLayoutKind::OptS];
+    let plan = attributed_plan(&study);
     let baseline_registry = Arc::new(MetricRegistry::new());
-    let baseline = run_attributed_matrix(&study, &kinds, cfg, &sim, 1, &baseline_registry);
+    let baseline = execute(&study, &plan, 1, &baseline_registry).expect("live plan");
     let registry = Arc::new(MetricRegistry::new());
-    let matrix = run_attributed_matrix(&study, &kinds, cfg, &sim, 4, &registry);
-    for (rows, baseline_rows) in matrix.iter().zip(&baseline) {
-        for ((r, attr), (b, battr)) in rows.iter().zip(baseline_rows) {
-            assert_eq!(r.stats, b.stats);
-            // AttributionReport is PartialEq: conflict pairs, matrix,
-            // per-set misses, census — the whole diagnosis must match.
-            assert_eq!(attr, battr, "attribution reports diverge at 4 threads");
-        }
-    }
+    let matrix = execute(&study, &plan, 4, &registry).expect("live plan");
+    assert_outcomes_equal(&matrix, &baseline, "4 threads");
     assert_eq!(
         registry_snapshot(&registry),
         registry_snapshot(&baseline_registry)
     );
+}
+
+#[test]
+fn attributed_plan_equals_its_points_run_one_by_one() {
+    let study = study();
+    let plan = attributed_plan(&study);
+    // Each point on its own, same class map, folded in point order.
+    let single_registry = Arc::new(MetricRegistry::new());
+    let singles: Vec<Outcome> = plan
+        .points
+        .iter()
+        .flat_map(|p| {
+            let one = Plan {
+                points: vec![p.clone()],
+                ..plan.clone()
+            };
+            execute(&study, &one, 1, &single_registry).expect("live plan")
+        })
+        .collect();
+    for threads in [1, 2] {
+        let registry = Arc::new(MetricRegistry::new());
+        let whole = execute(&study, &plan, threads, &registry).expect("live plan");
+        assert_outcomes_equal(&whole, &singles, &format!("{threads} workers"));
+        assert_eq!(
+            registry_snapshot(&registry),
+            registry_snapshot(&single_registry),
+            "registry diverges at {threads} workers"
+        );
+    }
 }
 
 #[test]

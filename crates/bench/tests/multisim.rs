@@ -1,14 +1,15 @@
 //! Differential gate for the single-pass sweep engine: on every committed
-//! sweep grid shape (Figures 15, 16 and 17), [`run_sweep_single_pass`]
-//! must produce exactly what the per-point [`run_sweep`] produces — the
-//! `SimResult` stream and the folded metric registry both — at 1 and 2
-//! workers.
+//! sweep grid shape (Figures 15, 16 and 17, and the design grid), the
+//! plan executor — which settles a multi-configuration plain plan in one
+//! `MultiSim` pass per lane — must produce exactly what the per-point
+//! [`run_sweep`] reference produces: the `SimResult` stream and the
+//! folded metric registry both, at 1 and 2 workers.
 
 use std::sync::Arc;
 
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{run_sweep, run_sweep_single_pass, AppSide, SweepPoint};
+use oslay_bench::{execute, run_sweep, AppSide, Plan, SweepPoint};
 use oslay_layout::Layout;
 use oslay_observe::{MetricRegistry, RunReport};
 
@@ -32,8 +33,19 @@ fn registry_fingerprint(registry: &MetricRegistry) -> String {
     report.to_json_deterministic().to_json_pretty()
 }
 
-/// Replays `grid` through both sweep drivers and asserts the single-pass
-/// results and registry match the per-point baseline at 1 and 2 workers.
+/// The plan of a sweep grid: one point per grid point, in grid order.
+fn plan_of(study: &Study, grid: Vec<SweepPoint>, sim: SimConfig) -> Plan {
+    let mut plan = Plan::plain(sim);
+    for p in grid {
+        let label = format!("{}@{}", study.cases()[p.case].name(), p.cache);
+        plan.push(p.case, p.os, p.app, p.cache, label);
+    }
+    plan
+}
+
+/// Replays `grid` through the per-point reference and through the
+/// executor, and asserts the executor's results and registry match the
+/// reference at 1 and 2 workers.
 fn assert_modes_agree(study: &Study, grid: &dyn Fn() -> Vec<SweepPoint>, what: &str) {
     let sim = SimConfig::fast();
     let baseline_registry = Arc::new(MetricRegistry::new());
@@ -45,11 +57,12 @@ fn assert_modes_agree(study: &Study, grid: &dyn Fn() -> Vec<SweepPoint>, what: &
     );
     for threads in [1, 2] {
         let registry = Arc::new(MetricRegistry::new());
-        let got = run_sweep_single_pass(study, grid(), &sim, threads, &registry);
+        let got =
+            execute(study, &plan_of(study, grid(), sim), threads, &registry).expect("live plan");
         assert_eq!(got.len(), baseline.len(), "{what}: point count");
         for (pi, (g, b)) in got.iter().zip(&baseline).enumerate() {
             assert_eq!(
-                g.stats, b.stats,
+                g.result.stats, b.stats,
                 "{what}: point {pi} diverges at {threads} workers"
             );
         }
@@ -216,9 +229,9 @@ fn design_grid_single_pass_matches_per_point() {
 
 #[test]
 fn detailed_sim_config_falls_back_to_per_point() {
-    // A config requesting miss maps cannot be settled in one pass;
-    // `run_sweep_single_pass` must silently take the per-point path and
-    // return the full detailed results.
+    // A config requesting miss maps cannot be settled in one pass; the
+    // executor must take the per-point path and return the full detailed
+    // results.
     let study = study();
     let ways: Vec<CacheConfig> = [1u32, 4]
         .iter()
@@ -234,7 +247,12 @@ fn detailed_sim_config_falls_back_to_per_point() {
         &baseline_registry,
     );
     let registry = Arc::new(MetricRegistry::new());
-    let got = run_sweep_single_pass(&study, fig17_grid(&study, &ways), &sim, 2, &registry);
+    let plan = plan_of(&study, fig17_grid(&study, &ways), sim);
+    let got: Vec<_> = execute(&study, &plan, 2, &registry)
+        .expect("live plan")
+        .into_iter()
+        .map(|o| o.result)
+        .collect();
     assert_eq!(got.len(), baseline.len());
     for (g, b) in got.iter().zip(&baseline) {
         assert_eq!(g.stats, b.stats);
